@@ -456,8 +456,8 @@ run(const bench::BenchOptions &opts, bool print, bench::JsonReport &json)
                 std::min(timeRun(*sbe, fusedPlan, inOn),
                          timeRun(*sbe, fusedPlan, inOn));
             const double score_mb =
-                static_cast<double>(sbe->scoreBytesAvoided()) / 2.0 /
-                1e6;
+                static_cast<double>(
+                    sbe->lastRunStats().scoreBytesAvoided) / 2.0 / 1e6;
             auto mbe = runtime::makeExecutor("cpu-blocked", serial);
             const double unfused_ms =
                 std::min(timeRun(*mbe, unfusedPlan, inOff),

@@ -41,8 +41,7 @@ main()
     // Inspect the classification that drives Table 5's actions.
     std::printf("operator classification (Table 3):\n");
     for (const auto &n : g.nodes()) {
-        if (n.kind == ir::OpKind::Input ||
-            n.kind == ir::OpKind::Constant)
+        if (ir::isTerminal(n.kind))
             continue;
         std::printf("  %-16s -> %s\n",
                     ir::opKindName(n.kind).c_str(),

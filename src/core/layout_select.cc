@@ -246,8 +246,7 @@ class LayoutAssigner
     {
         // Model inputs and constants are stored row-major.
         for (const ir::Node &n : plan.graph.nodes()) {
-            if (n.kind == ir::OpKind::Input ||
-                n.kind == ir::OpKind::Constant) {
+            if (ir::isTerminal(n.kind)) {
                 stored_[{n.output, 0}] = Layout::rowMajor(
                     plan.graph.value(n.output).shape.rank());
             }

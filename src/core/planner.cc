@@ -21,12 +21,6 @@ using runtime::KernelInput;
 
 namespace {
 
-bool
-isTerminal(const Node &n)
-{
-    return n.kind == OpKind::Input || n.kind == OpKind::Constant;
-}
-
 /** Can this node be removed by LTE (index-map elimination)? */
 bool
 lteCandidate(const Graph &graph, const Node &n)
@@ -149,8 +143,7 @@ groupIldAllNorms(const PlannerState &st, int g)
         if (!isIldVar(n))
             continue;
         any = true;
-        if (n.kind != ir::OpKind::LayerNorm &&
-            n.kind != ir::OpKind::InstanceNorm)
+        if (ir::opInfo(n.kind).category != ir::OpCategory::Norm)
             return false;
     }
     return any;
@@ -257,7 +250,7 @@ eliminatedNodes(const Graph &graph, const FusionPolicy &policy)
     if (!policy.eliminateTransforms)
         return out;
     for (const Node &n : graph.nodes()) {
-        if (!isTerminal(n) && lteCandidate(graph, n))
+        if (!ir::isTerminal(n.kind) && lteCandidate(graph, n))
             out.push_back(n.id);
     }
     return out;
@@ -273,14 +266,14 @@ planGraph(const Graph &graph, const FusionPolicy &policy)
     // ---- grouping ----
     for (NodeId nid : graph.topoOrder()) {
         const Node &n = graph.node(nid);
-        if (isTerminal(n) || st.eliminated.count(nid) > 0)
+        if (ir::isTerminal(n.kind) || st.eliminated.count(nid) > 0)
             continue;
 
         int joined = -1;
         for (ValueId vin : n.inputs) {
             ResolvedInput r = resolveThroughEliminated(st, vin);
             const Node &p = graph.node(graph.value(r.source).producer);
-            if (isTerminal(p))
+            if (ir::isTerminal(p.kind))
                 continue;
             auto git = st.groupOf.find(p.id);
             if (git == st.groupOf.end())

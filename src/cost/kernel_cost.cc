@@ -16,37 +16,6 @@ using runtime::KernelInput;
 
 namespace {
 
-/**
- * Peak-fraction efficiency per operator kind on a mobile GPU.  These
- * are calibrated once against the paper's achieved-GMACS band (Table 8
- * reports ~120-360 GMACS on Adreno 740 whose peak is 2 TMACs/s, i.e.
- * 6%-18% of peak end-to-end) and shared by every framework.
- */
-double
-opEfficiency(ir::OpKind kind)
-{
-    using ir::OpKind;
-    switch (kind) {
-      case OpKind::Conv2d:          return 0.22;
-      case OpKind::GroupConv2d:     return 0.12;
-      case OpKind::DepthwiseConv2d: return 0.08;
-      case OpKind::MatMul:
-      case OpKind::BatchMatMul:
-      case OpKind::FusedAttention:  return 0.14;
-      case OpKind::LayerNorm:
-      case OpKind::InstanceNorm:
-      case OpKind::BatchNorm:
-      case OpKind::Softmax:
-      case OpKind::ReduceSum:
-      case OpKind::ReduceMean:
-      case OpKind::ReduceMax:       return 0.08;
-      case OpKind::MaxPool2d:
-      case OpKind::AvgPool2d:
-      case OpKind::GlobalAvgPool:   return 0.10;
-      default:                      return 0.05; // element-wise
-    }
-}
-
 double
 bandwidth(const device::DeviceProfile &dev, ir::MemSpace space)
 {
@@ -184,7 +153,7 @@ costKernel(const device::DeviceProfile &dev, const ExecutionPlan &plan,
         kc.macs += ir::nodeMacs(graph, n);
         work_elems += graph.value(n.output).shape.numElements();
         if (ir::nodeMacs(graph, n) > 0)
-            eff = std::max(eff, opEfficiency(n.kind));
+            eff = std::max(eff, ir::opInfo(n.kind).efficiency);
         if (ir::isConv(n.kind))
             has_conv = true;
         if (ir::isLayoutTransform(n.kind))

@@ -196,33 +196,6 @@ materializeMapped(const index::IndexMap &map, const float *src,
     });
 }
 
-bool
-isUnaryKind(OpKind k)
-{
-    switch (k) {
-      case OpKind::Relu:
-      case OpKind::Gelu:
-      case OpKind::Silu:
-      case OpKind::Sigmoid:
-      case OpKind::Tanh:
-      case OpKind::Exp:
-      case OpKind::Sqrt:
-      case OpKind::Neg:
-      case OpKind::Identity:
-      case OpKind::Scale:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isBinaryKind(OpKind k)
-{
-    return k == OpKind::Add || k == OpKind::Sub || k == OpKind::Mul ||
-           k == OpKind::Div;
-}
-
 /**
  * If `other` (shape obs) broadcast against `os` reduces to
  * "other[i % m]" for row-major linear index i -- covering same-shape
@@ -536,7 +509,7 @@ PlanRunner::tryFoldEpilogue(const Kernel &k, ValueId cur,
     if (shapeOf(next.output) != shapeOf(cur))
         return false;
 
-    if (isUnaryKind(next.kind)) {
+    if (ir::isUnaryElementwise(next.kind)) {
         if (next.inputs[0] != cur)
             return false;
         *step = EpilogueStep{};
@@ -544,7 +517,7 @@ PlanRunner::tryFoldEpilogue(const Kernel &k, ValueId cur,
         step->node = &next;
         return true;
     }
-    if (!isBinaryKind(next.kind))
+    if (!ir::isBinaryElementwise(next.kind))
         return false;
     const bool lhs = next.inputs[0] == cur;
     const bool rhs = next.inputs[1] == cur;
@@ -574,10 +547,8 @@ void
 PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
 {
     const Shape &os = shapeOf(node.output);
-    switch (node.kind) {
-      case OpKind::Conv2d:
-      case OpKind::GroupConv2d:
-      case OpKind::DepthwiseConv2d: {
+    switch (ir::opInfo(node.kind).category) {
+      case ir::OpCategory::Conv: {
         const Shape &xs = shapeOf(node.inputs[0]);
         const Shape &ws = shapeOf(node.inputs[1]);
         const std::int64_t stride = node.attrs.getInt("stride", 1);
@@ -657,8 +628,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         locals_[node.output] = {out, true, nativeStore};
         return;
       }
-      case OpKind::MatMul:
-      case OpKind::BatchMatMul: {
+      case ir::OpCategory::MatMul: {
         const Shape &as = shapeOf(node.inputs[0]);
         const Shape &bs = shapeOf(node.inputs[1]);
         const bool trans_b = node.attrs.getInt("transB", 0) != 0;
@@ -746,46 +716,37 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         locals_[node.output] = {out, true, nativeStore};
         return;
       }
-      case OpKind::LayerNorm: {
+      case ir::OpCategory::Norm: {
+        // x, then the optional scale (LayerNorm gamma, BatchNorm
+        // scale) and shift (beta, bias); InstanceNorm has neither.
         const float *x = resolveLocal(k, node.inputs[0]);
-        const float *gamma = node.inputs.size() > 1
+        const float *scale = node.inputs.size() > 1
                                  ? resolveLocal(k, node.inputs[1])
                                  : nullptr;
-        const float *beta = node.inputs.size() > 2
-                                ? resolveLocal(k, node.inputs[2])
-                                : nullptr;
-        const std::int64_t inner = os.dim(os.rank() - 1);
+        const float *shift = node.inputs.size() > 2
+                                 ? resolveLocal(k, node.inputs[2])
+                                 : nullptr;
+        const std::int64_t scaleLen =
+            scale ? shapeOf(node.inputs[1]).numElements() : 1;
+        const std::int64_t shiftLen =
+            shift ? shapeOf(node.inputs[2]).numElements() : 1;
         float *out = alloc(os.numElements());
-        blockedLayerNorm(
-            x, gamma,
-            gamma ? shapeOf(node.inputs[1]).numElements() : 1, beta,
-            beta ? shapeOf(node.inputs[2]).numElements() : 1, out,
-            os.numElements() / inner, inner, par_);
+        if (node.kind == OpKind::LayerNorm) {
+            const std::int64_t inner = os.dim(os.rank() - 1);
+            blockedLayerNorm(x, scale, scaleLen, shift, shiftLen, out,
+                             os.numElements() / inner, inner, par_);
+        } else if (node.kind == OpKind::InstanceNorm) {
+            blockedInstanceNorm(x, out, os.dim(0) * os.dim(1),
+                                os.dim(2) * os.dim(3), par_);
+        } else {
+            blockedBatchNorm(x, scale, scaleLen, shift, shiftLen, out,
+                             os.dim(0), os.dim(1), os.dim(2) * os.dim(3),
+                             par_);
+        }
         locals_[node.output] = {out, true};
         return;
       }
-      case OpKind::InstanceNorm: {
-        const float *x = resolveLocal(k, node.inputs[0]);
-        const std::int64_t hw = os.dim(2) * os.dim(3);
-        float *out = alloc(os.numElements());
-        blockedInstanceNorm(x, out, os.dim(0) * os.dim(1), hw, par_);
-        locals_[node.output] = {out, true};
-        return;
-      }
-      case OpKind::BatchNorm: {
-        const float *x = resolveLocal(k, node.inputs[0]);
-        const float *scale = resolveLocal(k, node.inputs[1]);
-        const float *bias = resolveLocal(k, node.inputs[2]);
-        float *out = alloc(os.numElements());
-        blockedBatchNorm(x, scale,
-                         shapeOf(node.inputs[1]).numElements(), bias,
-                         shapeOf(node.inputs[2]).numElements(), out,
-                         os.dim(0), os.dim(1), os.dim(2) * os.dim(3),
-                         par_);
-        locals_[node.output] = {out, true};
-        return;
-      }
-      case OpKind::Softmax: {
+      case ir::OpCategory::Softmax: {
         const float *x = resolveLocal(k, node.inputs[0]);
         int axis = static_cast<int>(
             node.attrs.getInt("axis", os.rank() - 1));
@@ -796,7 +757,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         locals_[node.output] = {out, true};
         return;
       }
-      case OpKind::FusedAttention: {
+      case ir::OpCategory::Attention: {
         const Shape &qs = shapeOf(node.inputs[0]);
         const Shape &vs = shapeOf(node.inputs[2]);
         const std::int64_t batch = qs.dim(0);
@@ -854,26 +815,14 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         locals_[node.output] = {out, true};
         return;
       }
-      case OpKind::Relu:
-      case OpKind::Gelu:
-      case OpKind::Silu:
-      case OpKind::Sigmoid:
-      case OpKind::Tanh:
-      case OpKind::Exp:
-      case OpKind::Sqrt:
-      case OpKind::Neg:
-      case OpKind::Identity:
-      case OpKind::Scale: {
+      case ir::OpCategory::Unary: {
         const float *x = resolveLocal(k, node.inputs[0]);
         float *out = alloc(os.numElements());
         blockedUnary(node.kind, node, x, out, os.numElements(), par_);
         locals_[node.output] = {out, true};
         return;
       }
-      case OpKind::Add:
-      case OpKind::Sub:
-      case OpKind::Mul:
-      case OpKind::Div: {
+      case ir::OpCategory::Binary: {
         const float *a = resolveLocal(k, node.inputs[0]);
         const float *b = resolveLocal(k, node.inputs[1]);
         float *out = alloc(os.numElements());
@@ -883,54 +832,54 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         locals_[node.output] = {out, true};
         return;
       }
-      case OpKind::Reshape:
-      case OpKind::Transpose:
-      case OpKind::DepthToSpace:
-      case OpKind::SpaceToDepth:
-      case OpKind::Slice:
-      case OpKind::Gather: {
-        // Surviving transformation: one pass through its index map
-        // (the same machinery eliminated chains use).
-        const float *x = resolveLocal(k, node.inputs[0]);
-        const Shape &xs = shapeOf(node.inputs[0]);
-        index::IndexMap map =
-            index::IndexMap::fromNode(graph_, node).simplified();
-        float *out = alloc(os.numElements());
-        materializeMapped(map, x, Layout::rowMajor(xs.rank()), xs, out,
-                          par_);
-        locals_[node.output] = {out, true};
-        return;
-      }
-      case OpKind::Concat: {
-        // Block copies per input along the concat axis.
-        const int axis =
-            static_cast<int>(node.attrs.getInt("axis"));
-        std::int64_t inner = 1;
-        for (int d = axis + 1; d < os.rank(); ++d)
-            inner *= os.dim(d);
-        const std::int64_t outer =
-            os.numElements() / (os.dim(axis) * inner);
-        float *out = alloc(os.numElements());
-        std::int64_t axis_off = 0;
-        for (ValueId vin : node.inputs) {
-            const float *x = resolveLocal(k, vin);
-            const std::int64_t ext = shapeOf(vin).dim(axis);
-            const std::int64_t row = ext * inner;
-            for (std::int64_t o = 0; o < outer; ++o) {
-                std::memcpy(out + (o * os.dim(axis) + axis_off) * inner,
-                            x + o * row,
-                            static_cast<std::size_t>(row) *
-                                sizeof(float));
-            }
-            axis_off += ext;
+      case ir::OpCategory::Transform:
+      case ir::OpCategory::Select:
+        if (ir::opInfo(node.kind).eliminable) {
+            // Surviving transformation: one pass through its index map
+            // (the same machinery eliminated chains use).
+            const float *x = resolveLocal(k, node.inputs[0]);
+            const Shape &xs = shapeOf(node.inputs[0]);
+            index::IndexMap map =
+                index::IndexMap::fromNode(graph_, node).simplified();
+            float *out = alloc(os.numElements());
+            materializeMapped(map, x, Layout::rowMajor(xs.rank()), xs,
+                              out, par_);
+            locals_[node.output] = {out, true};
+            return;
         }
-        locals_[node.output] = {out, true};
-        return;
-      }
-      default:
-        evalViaReference(k, node);
-        return;
+        if (node.kind == OpKind::Concat) {
+            // Block copies per input along the concat axis.
+            const int axis = static_cast<int>(node.attrs.getInt("axis"));
+            std::int64_t inner = 1;
+            for (int d = axis + 1; d < os.rank(); ++d)
+                inner *= os.dim(d);
+            const std::int64_t outer =
+                os.numElements() / (os.dim(axis) * inner);
+            float *out = alloc(os.numElements());
+            std::int64_t axis_off = 0;
+            for (ValueId vin : node.inputs) {
+                const float *x = resolveLocal(k, vin);
+                const std::int64_t ext = shapeOf(vin).dim(axis);
+                const std::int64_t row = ext * inner;
+                for (std::int64_t o = 0; o < outer; ++o) {
+                    std::memcpy(
+                        out + (o * os.dim(axis) + axis_off) * inner,
+                        x + o * row,
+                        static_cast<std::size_t>(row) * sizeof(float));
+                }
+                axis_off += ext;
+            }
+            locals_[node.output] = {out, true};
+            return;
+        }
+        break;
+      case ir::OpCategory::Terminal:
+      case ir::OpCategory::Reduce:
+      case ir::OpCategory::Pool:
+        break;
     }
+    // No blocked kernel for this op yet: run its reference kernel.
+    evalViaReference(k, node);
 }
 
 void

@@ -7,11 +7,15 @@
  * materializing the operator's IndexMap; the index module's own tests
  * validate the maps against independent references, so the executor and
  * the elimination pass share one proven definition of these semantics.
+ * Element-wise ops likewise share applyUnaryScalar/applyBinaryScalar
+ * with the cpu-blocked backend; exec_test pins those formulas against
+ * hand-computed values.
  */
 #include <algorithm>
 #include <cmath>
 
 #include "exec/executor.h"
+#include "exec/kernels_blocked.h"
 #include "index/index_map.h"
 #include "support/error.h"
 
@@ -22,44 +26,6 @@ using ir::OpKind;
 using ir::Shape;
 
 namespace {
-
-float
-applyUnary(OpKind kind, float x, const Node &node)
-{
-    switch (kind) {
-      case OpKind::Relu:    return x > 0 ? x : 0;
-      case OpKind::Gelu:
-        return 0.5f * x * (1.0f + std::tanh(0.7978845608f *
-                                            (x + 0.044715f * x * x * x)));
-      case OpKind::Silu:    return x / (1.0f + std::exp(-x));
-      case OpKind::Sigmoid: return 1.0f / (1.0f + std::exp(-x));
-      case OpKind::Tanh:    return std::tanh(x);
-      case OpKind::Exp:     return std::exp(x);
-      case OpKind::Sqrt:    return std::sqrt(std::max(x, 0.0f));
-      case OpKind::Neg:     return -x;
-      case OpKind::Identity: return x;
-      case OpKind::Scale: {
-        float s = static_cast<float>(
-            node.attrs.getInt("scale_milli", 1000)) / 1000.0f;
-        return x * s;
-      }
-      default:
-        smPanic("applyUnary on non-unary kind");
-    }
-}
-
-float
-applyBinary(OpKind kind, float a, float b)
-{
-    switch (kind) {
-      case OpKind::Add: return a + b;
-      case OpKind::Sub: return a - b;
-      case OpKind::Mul: return a * b;
-      case OpKind::Div: return a / b;
-      default:
-        smPanic("applyBinary on non-binary kind");
-    }
-}
 
 Tensor
 evalConv(const ir::Graph &graph, const Node &node,
@@ -505,7 +471,7 @@ evalBroadcastBinary(const ir::Graph &graph, const Node &node,
             }
             return t.at(c);
         };
-        out.at(coord) = applyBinary(node.kind, pick(a), pick(b));
+        out.at(coord) = applyBinaryScalar(node.kind, pick(a), pick(b));
     });
     return out;
 }
@@ -516,82 +482,54 @@ Tensor
 evalNode(const ir::Graph &graph, const Node &node,
          const std::vector<const Tensor *> &inputs)
 {
-    switch (node.kind) {
-      case OpKind::Input:
-      case OpKind::Constant:
+    switch (ir::opInfo(node.kind).category) {
+      case ir::OpCategory::Terminal:
         smPanic("evalNode on terminal");
 
-      case OpKind::Conv2d:
-      case OpKind::GroupConv2d:
-      case OpKind::DepthwiseConv2d:
+      case ir::OpCategory::Conv:
         return evalConv(graph, node, *inputs[0], *inputs[1],
                         inputs.size() > 2 ? inputs[2] : nullptr);
 
-      case OpKind::MatMul:
-      case OpKind::BatchMatMul:
+      case ir::OpCategory::MatMul:
         return evalMatMul(graph, node, *inputs[0], *inputs[1]);
 
-      case OpKind::LayerNorm:
+      case ir::OpCategory::Norm:
+        if (node.kind == OpKind::InstanceNorm)
+            return evalInstanceNorm(*inputs[0]);
+        if (node.kind == OpKind::BatchNorm)
+            return evalBatchNorm(*inputs[0], *inputs[1], *inputs[2]);
         return evalLayerNorm(node, *inputs[0],
                              inputs.size() > 1 ? inputs[1] : nullptr,
                              inputs.size() > 2 ? inputs[2] : nullptr);
-      case OpKind::InstanceNorm:
-        return evalInstanceNorm(*inputs[0]);
-      case OpKind::BatchNorm:
-        return evalBatchNorm(*inputs[0], *inputs[1], *inputs[2]);
 
-      case OpKind::Softmax:
+      case ir::OpCategory::Softmax:
         return evalSoftmax(node, *inputs[0]);
 
-      case OpKind::ReduceSum:
-      case OpKind::ReduceMean:
-      case OpKind::ReduceMax:
+      case ir::OpCategory::Reduce:
         return evalReduce(graph, node, *inputs[0]);
 
-      case OpKind::MaxPool2d:
-      case OpKind::AvgPool2d:
-      case OpKind::GlobalAvgPool:
+      case ir::OpCategory::Pool:
         return evalPool(graph, node, *inputs[0]);
 
-      case OpKind::Relu:
-      case OpKind::Gelu:
-      case OpKind::Silu:
-      case OpKind::Sigmoid:
-      case OpKind::Tanh:
-      case OpKind::Exp:
-      case OpKind::Sqrt:
-      case OpKind::Neg:
-      case OpKind::Identity:
-      case OpKind::Scale: {
+      case ir::OpCategory::Unary: {
         Tensor out(inputs[0]->shape());
         for (std::int64_t i = 0; i < out.numElements(); ++i)
-            out.at(i) = applyUnary(node.kind, inputs[0]->at(i), node);
+            out.at(i) = applyUnaryScalar(node.kind, inputs[0]->at(i), node);
         return out;
       }
 
-      case OpKind::Add:
-      case OpKind::Sub:
-      case OpKind::Mul:
-      case OpKind::Div:
+      case ir::OpCategory::Binary:
         return evalBroadcastBinary(graph, node, *inputs[0], *inputs[1]);
 
-      case OpKind::Reshape:
-      case OpKind::Transpose:
-      case OpKind::DepthToSpace:
-      case OpKind::SpaceToDepth:
-      case OpKind::Slice:
+      case ir::OpCategory::Transform:
+      case ir::OpCategory::Select:
+        if (node.kind == OpKind::Concat)
+            return evalConcat(graph, node, inputs);
+        if (node.kind == OpKind::Pad)
+            return evalPad(graph, node, *inputs[0]);
         return evalViaIndexMap(graph, node, *inputs[0]);
 
-      case OpKind::Gather:
-        return evalViaIndexMap(graph, node, *inputs[0]);
-
-      case OpKind::Concat:
-        return evalConcat(graph, node, inputs);
-
-      case OpKind::Pad:
-        return evalPad(graph, node, *inputs[0]);
-
-      case OpKind::FusedAttention:
+      case ir::OpCategory::Attention:
         return evalFusedAttention(graph, node, *inputs[0], *inputs[1],
                                   *inputs[2],
                                   inputs.size() > 3 ? inputs[3] : nullptr);

@@ -88,8 +88,7 @@ ParallelRunner::run(std::int64_t n, std::int64_t grain,
 }
 
 // -------------------------------------------------------------------
-// Scalar op bodies (formulas identical to the reference kernels so
-// parity with exec/kernels.cc is exact up to float associativity)
+// Scalar op bodies (also the reference kernels' formulas)
 // -------------------------------------------------------------------
 
 float

@@ -229,10 +229,12 @@ void blockedDepthwiseConv2d(const float *x, const PlaneLayout &xl,
 void blockedUnary(ir::OpKind kind, const ir::Node &node, const float *x,
                   float *y, std::int64_t n, const ParallelRunner &par);
 
-/** Scalar unary application (shared with the epilogue fuser). */
+/** Scalar unary application: the one definition of every unary
+ *  kind, shared by the reference kernels and the epilogue fuser. */
 float applyUnaryScalar(ir::OpKind kind, float x, const ir::Node &node);
 
-/** Scalar binary application (shared with the epilogue fuser). */
+/** Scalar binary application: the one definition of every binary
+ *  kind, shared by the reference kernels and the epilogue fuser. */
 float applyBinaryScalar(ir::OpKind kind, float a, float b);
 
 /**

@@ -35,18 +35,7 @@ IndexMap::identity(const Shape &shape)
 bool
 IndexMap::isEliminable(OpKind kind)
 {
-    switch (kind) {
-      case OpKind::Reshape:
-      case OpKind::Transpose:
-      case OpKind::DepthToSpace:
-      case OpKind::SpaceToDepth:
-      case OpKind::Slice:
-      case OpKind::Gather:
-      case OpKind::Identity:
-        return true;
-      default:
-        return false;
-    }
+    return ir::opInfo(kind).eliminable;
 }
 
 namespace {

@@ -51,7 +51,8 @@ class IndexMap
      */
     static IndexMap fromNode(const ir::Graph &graph, const ir::Node &node);
 
-    /** True if fromNode() supports this operator kind. */
+    /** True if fromNode() supports this operator kind (its
+     *  ir::OpInfo::eliminable column). */
     static bool isEliminable(ir::OpKind kind);
 
     /**

@@ -55,7 +55,7 @@ Graph::operatorCount() const
 {
     int count = 0;
     for (const Node &n : nodes_) {
-        if (n.kind != OpKind::Input && n.kind != OpKind::Constant)
+        if (!isTerminal(n.kind))
             ++count;
     }
     return count;
@@ -104,7 +104,7 @@ Graph::verify() const
                       "node ids are not topologically ordered");
         }
         // Re-run shape inference to confirm stored shapes.
-        if (n.kind != OpKind::Input && n.kind != OpKind::Constant) {
+        if (!isTerminal(n.kind)) {
             std::vector<Shape> in_shapes;
             for (ValueId in : n.inputs)
                 in_shapes.push_back(value(in).shape);

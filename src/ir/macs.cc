@@ -8,37 +8,28 @@ std::int64_t
 nodeMacs(const Graph &graph, const Node &node)
 {
     const auto out_elems = graph.value(node.output).shape.numElements();
-    switch (node.kind) {
-      case OpKind::Conv2d:
-      case OpKind::GroupConv2d:
-      case OpKind::DepthwiseConv2d: {
+    switch (opInfo(node.kind).category) {
+      case OpCategory::Conv: {
         const Shape &w = graph.value(node.inputs[1]).shape; // OIHW
         // Each output element needs I*KH*KW MACs.
         return out_elems * w.dim(1) * w.dim(2) * w.dim(3);
       }
-      case OpKind::MatMul:
-      case OpKind::BatchMatMul: {
+      case OpCategory::MatMul: {
         const Shape &a = graph.value(node.inputs[0]).shape;
         std::int64_t k = a.dim(a.rank() - 1);
         return out_elems * k;
       }
-      case OpKind::LayerNorm:
-      case OpKind::InstanceNorm:
-      case OpKind::BatchNorm:
+      case OpCategory::Norm:
+      case OpCategory::Softmax:
+      case OpCategory::Reduce:
         return graph.value(node.inputs[0]).shape.numElements();
-      case OpKind::Softmax:
-        return graph.value(node.inputs[0]).shape.numElements();
-      case OpKind::ReduceSum:
-      case OpKind::ReduceMean:
-      case OpKind::ReduceMax:
-      case OpKind::GlobalAvgPool:
-        return graph.value(node.inputs[0]).shape.numElements();
-      case OpKind::MaxPool2d:
-      case OpKind::AvgPool2d: {
+      case OpCategory::Pool: {
+        if (node.kind == OpKind::GlobalAvgPool)
+            return graph.value(node.inputs[0]).shape.numElements();
         std::int64_t k = node.attrs.getInt("kernel");
         return out_elems * k * k;
       }
-      case OpKind::FusedAttention: {
+      case OpCategory::Attention: {
         // Q.K^T (B*N*M*dk) plus attn.V (B*N*M*dv).
         const Shape &q = graph.value(node.inputs[0]).shape;
         const Shape &v = graph.value(node.inputs[2]).shape;

@@ -1,6 +1,8 @@
 /**
  * @file
- * Operator kinds supported by the IR.
+ * Operator kinds supported by the IR, and the operator table: one
+ * OpInfo row per kind stating its name, category, arity, Table 3
+ * class, index-map eliminability and cost-model efficiency.
  *
  * The set covers everything needed by the 18 evaluation models of the
  * paper: convolutions, matrix products, normalizations, attention
@@ -12,6 +14,7 @@
 #ifndef SMARTMEM_IR_OP_KIND_H
 #define SMARTMEM_IR_OP_KIND_H
 
+#include <limits>
 #include <string>
 
 namespace smartmem::ir {
@@ -21,7 +24,8 @@ enum class OpKind {
     Input,
     Constant,
 
-    // Compute, input-layout dependent, output customizable (ILD & Var).
+    // Compute: convolutions, matrix products, normalizations, softmax,
+    // reductions and pooling.
     Conv2d,
     DepthwiseConv2d,
     GroupConv2d,
@@ -38,8 +42,7 @@ enum class OpKind {
     AvgPool2d,
     GlobalAvgPool,
 
-    // Element-wise, input-layout independent, output customizable
-    // (ILI & Var).
+    // Element-wise.
     Relu,
     Gelu,
     Silu,
@@ -55,20 +58,19 @@ enum class OpKind {
     Mul,
     Div,
 
-    // Layout transformations, input-layout dependent, fixed output
-    // (ILD & Fixed).  These are SmartMem's elimination targets.
+    // Layout transformations: SmartMem's elimination targets.
     Reshape,
     Transpose,
     DepthToSpace,
     SpaceToDepth,
 
-    // Selection, input-layout independent, fixed output (ILI & Fixed).
+    // Selection.
     Gather,
     Slice,
     Concat,
     Pad,
 
-    // Fused compute groups produced by the pass pipeline (ILD & Var).
+    // Fused compute groups produced by the pass pipeline.
     // FusedAttention(Q, K, V[, bias]) = softmax(scale * Q.K^T [+ bias],
     // last axis) . V with scale = attr "scale_milli" / 1000.
     FusedAttention,
@@ -76,6 +78,58 @@ enum class OpKind {
 
 /** The numerically largest OpKind (keep in sync when appending). */
 constexpr OpKind kLastOpKind = OpKind::FusedAttention;
+
+/**
+ * Operator family.  Wherever one rule covers every member (the shape
+ * of a unary op is its input's, a binary op broadcasts, a transform
+ * runs through its IndexMap), consumers dispatch on the category and
+ * never list the members.
+ */
+enum class OpCategory {
+    Terminal,  ///< Input, Constant
+    Conv,
+    MatMul,
+    Norm,
+    Softmax,
+    Reduce,
+    Pool,
+    Unary,     ///< element-wise, one input
+    Binary,    ///< broadcastable element-wise arithmetic
+    Transform, ///< pure layout transformation
+    Select,    ///< Gather, Slice, Concat, Pad
+    Attention, ///< fused compute groups
+};
+
+/** OpInfo::maxInputs of a variadic operator (Concat). */
+constexpr int kAnyInputs = std::numeric_limits<int>::max();
+
+/**
+ * One row of the operator table: what the compiler knows about an
+ * operator kind as data.  Per-operator formulas (shape rules, MAC
+ * counts, reduction dims, index maps, kernels) stay as switches in
+ * their modules.
+ */
+struct OpInfo
+{
+    OpKind kind;
+    const char *name;
+    OpCategory category;
+    /** Inclusive input-count range, checked by inferShape. */
+    int minInputs;
+    int maxInputs;
+    /** Table 3: computation speed depends on the input layout (ILD),
+     *  else input-layout independent (ILI). */
+    bool inputLayoutDependent;
+    /** Table 3: output layout fixed by the definition, else variable. */
+    bool fixedOutput;
+    /** IndexMap can fold the op into its consumer's reads (LTE). */
+    bool eliminable;
+    /** Cost model: achieved fraction of device peak for MAC work. */
+    double efficiency;
+};
+
+/** The table row of `kind`. */
+const OpInfo &opInfo(OpKind kind);
 
 /** Canonical operator name ("Conv2d"). */
 std::string opKindName(OpKind kind);
@@ -86,6 +140,9 @@ OpKind opKindFromName(const std::string &name);
 /** True when `name` is a canonical operator name. */
 bool isOpKindName(const std::string &name);
 
+/** True for the graph terminals (Input, Constant). */
+bool isTerminal(OpKind kind);
+
 /** True for Reshape/Transpose/DepthToSpace/SpaceToDepth. */
 bool isLayoutTransform(OpKind kind);
 
@@ -95,17 +152,11 @@ bool isUnaryElementwise(OpKind kind);
 /** True for broadcastable binary arithmetic (Add/Sub/Mul/Div). */
 bool isBinaryElementwise(OpKind kind);
 
-/** True for reduction kinds (ReduceSum/Mean/Max, GlobalAvgPool). */
-bool isReduction(OpKind kind);
-
 /** True for convolution kinds. */
 bool isConv(OpKind kind);
 
 /** True for matrix-product kinds. */
 bool isMatMul(OpKind kind);
-
-/** True for normalization kinds. */
-bool isNormalization(OpKind kind);
 
 } // namespace smartmem::ir
 

@@ -21,7 +21,6 @@ windowOut(std::int64_t in, std::int64_t kernel, std::int64_t stride,
 Shape
 inferConv(const std::vector<Shape> &in, const Attrs &attrs, bool depthwise)
 {
-    SM_REQUIRE(in.size() >= 2, "conv expects input and weight");
     const Shape &x = in[0]; // NCHW
     const Shape &w = in[1]; // OIHW (I = C/groups)
     SM_REQUIRE(x.rank() == 4 && w.rank() == 4,
@@ -41,7 +40,6 @@ inferConv(const std::vector<Shape> &in, const Attrs &attrs, bool depthwise)
 Shape
 inferMatMul(const std::vector<Shape> &in, const Attrs &attrs, bool batched)
 {
-    SM_REQUIRE(in.size() >= 2, "matmul expects two inputs");
     const Shape &a = in[0];
     const Shape &b = in[1];
     bool trans_b = attrs.getInt("transB", 0) != 0;
@@ -110,39 +108,57 @@ inferPool(const Shape &x, const Attrs &attrs)
                   windowOut(x.dim(3), kernel, stride, pad)});
 }
 
+/** Reject an input count outside the kind's OpInfo range. */
+void
+checkArity(const OpInfo &info, std::size_t n)
+{
+    const auto lo = static_cast<std::size_t>(info.minInputs);
+    const auto hi = static_cast<std::size_t>(info.maxInputs);
+    if (n >= lo && n <= hi)
+        return;
+    std::string want = std::to_string(lo);
+    std::size_t last = lo; // the count the phrase ends on
+    if (info.maxInputs == kAnyInputs) {
+        want = "at least " + want;
+    } else if (hi != lo) {
+        want += "-" + std::to_string(hi);
+        last = hi;
+    }
+    smFatal(std::string(info.name) + " expects " + want +
+            (last == 1 ? " input" : " inputs") + ", got " +
+            std::to_string(n));
+}
+
 } // namespace
 
 Shape
 inferShape(OpKind kind, const std::vector<Shape> &in, const Attrs &attrs)
 {
-    switch (kind) {
-      case OpKind::Input:
-      case OpKind::Constant:
+    const OpInfo &info = opInfo(kind);
+    checkArity(info, in.size());
+    switch (info.category) {
+      case OpCategory::Terminal:
         smPanic("terminals have no inferred shape");
-
-      case OpKind::Conv2d:
-      case OpKind::GroupConv2d:
-        return inferConv(in, attrs, /*depthwise=*/false);
-      case OpKind::DepthwiseConv2d:
-        return inferConv(in, attrs, /*depthwise=*/true);
-
-      case OpKind::MatMul:
-        return inferMatMul(in, attrs, /*batched=*/false);
-      case OpKind::BatchMatMul:
-        return inferMatMul(in, attrs, /*batched=*/true);
-
-      case OpKind::LayerNorm:
-      case OpKind::InstanceNorm:
-      case OpKind::BatchNorm:
-      case OpKind::Softmax:
-        SM_REQUIRE(!in.empty(), "normalization expects an input");
+      case OpCategory::Conv:
+        return inferConv(in, attrs, kind == OpKind::DepthwiseConv2d);
+      case OpCategory::MatMul:
+        return inferMatMul(in, attrs, kind == OpKind::BatchMatMul);
+      case OpCategory::Norm:
+      case OpCategory::Softmax:
+      case OpCategory::Unary:
         return in[0];
-
-      case OpKind::ReduceSum:
-      case OpKind::ReduceMean:
-      case OpKind::ReduceMax:
+      case OpCategory::Reduce:
         return inferReduce(in[0], attrs);
+      case OpCategory::Binary:
+        return broadcastShapes(in[0], in[1]);
+      case OpCategory::Pool:
+      case OpCategory::Transform:
+      case OpCategory::Select:
+      case OpCategory::Attention:
+        break; // one rule per kind below
+    }
 
+    switch (kind) {
       case OpKind::MaxPool2d:
       case OpKind::AvgPool2d:
         return inferPool(in[0], attrs);
@@ -150,26 +166,6 @@ inferShape(OpKind kind, const std::vector<Shape> &in, const Attrs &attrs)
       case OpKind::GlobalAvgPool:
         SM_REQUIRE(in[0].rank() == 4, "global pool expects rank-4");
         return Shape({in[0].dim(0), in[0].dim(1), 1, 1});
-
-      case OpKind::Relu:
-      case OpKind::Gelu:
-      case OpKind::Silu:
-      case OpKind::Sigmoid:
-      case OpKind::Tanh:
-      case OpKind::Exp:
-      case OpKind::Sqrt:
-      case OpKind::Neg:
-      case OpKind::Identity:
-      case OpKind::Scale:
-        SM_REQUIRE(!in.empty(), "unary expects an input");
-        return in[0];
-
-      case OpKind::Add:
-      case OpKind::Sub:
-      case OpKind::Mul:
-      case OpKind::Div:
-        SM_REQUIRE(in.size() == 2, "binary expects two inputs");
-        return broadcastShapes(in[0], in[1]);
 
       case OpKind::Reshape: {
         Shape out{attrs.getInts("shape")};
@@ -214,7 +210,6 @@ inferShape(OpKind kind, const std::vector<Shape> &in, const Attrs &attrs)
       }
 
       case OpKind::Gather: {
-        SM_REQUIRE(in.size() == 2, "gather expects data and indices");
         std::int64_t axis = attrs.getInt("axis");
         const Shape &x = in[0];
         const Shape &idx = in[1];
@@ -250,7 +245,6 @@ inferShape(OpKind kind, const std::vector<Shape> &in, const Attrs &attrs)
       }
 
       case OpKind::Concat: {
-        SM_REQUIRE(!in.empty(), "concat expects inputs");
         std::int64_t axis = attrs.getInt("axis");
         SM_REQUIRE(axis >= 0 && axis < in[0].rank(),
                    "concat axis out of range");
@@ -273,7 +267,6 @@ inferShape(OpKind kind, const std::vector<Shape> &in, const Attrs &attrs)
       case OpKind::FusedAttention: {
         // Q [B, N, dk], K [B, M, dk], V [B, M, dv] -> [B, N, dv];
         // the optional 4th input is a bias broadcastable over [N, M].
-        SM_REQUIRE(in.size() >= 3, "fused attention expects Q, K, V");
         const Shape &q = in[0];
         const Shape &k = in[1];
         const Shape &v = in[2];
@@ -311,6 +304,9 @@ inferShape(OpKind kind, const std::vector<Shape> &in, const Attrs &attrs)
         }
         return Shape(out);
       }
+
+      default:
+        break;
     }
     smPanic("unhandled op kind in shape inference");
 }

@@ -16,8 +16,9 @@
 namespace smartmem::ir {
 
 /**
- * Infer the output shape.  Throws FatalError for inconsistent inputs
- * (e.g. reshape element-count mismatch, conv channel mismatch).
+ * Infer the output shape.  Throws FatalError for an input count
+ * outside the kind's OpInfo range and for inconsistent inputs (e.g.
+ * reshape element-count mismatch, conv channel mismatch).
  */
 Shape inferShape(OpKind kind, const std::vector<Shape> &inputs,
                  const Attrs &attrs);

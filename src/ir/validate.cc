@@ -73,8 +73,7 @@ validateGraphParts(const GraphParts &parts)
                     n.output)].producer) +
                 ", not this node (broken producer back-link)");
         }
-        const bool terminal =
-            n.kind == OpKind::Input || n.kind == OpKind::Constant;
+        const bool terminal = isTerminal(n.kind);
         if (terminal && !n.inputs.empty()) {
             diags.push_back(where + ": " + opKindName(n.kind) +
                             " node must have no inputs");

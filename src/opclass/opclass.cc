@@ -1,7 +1,5 @@
 #include "opclass/opclass.h"
 
-#include "support/error.h"
-
 namespace smartmem::opclass {
 
 using ir::OpKind;
@@ -9,67 +7,10 @@ using ir::OpKind;
 OpClass
 classifyOp(OpKind kind)
 {
-    switch (kind) {
-      // Compute with temporal reuse and/or reduction: performance depends
-      // on input layout, output order can be chosen by the implementation.
-      case OpKind::Conv2d:
-      case OpKind::DepthwiseConv2d:
-      case OpKind::GroupConv2d:
-      case OpKind::MatMul:
-      case OpKind::BatchMatMul:
-      case OpKind::LayerNorm:
-      case OpKind::InstanceNorm:
-      case OpKind::Softmax:
-      case OpKind::ReduceSum:
-      case OpKind::ReduceMean:
-      case OpKind::ReduceMax:
-      case OpKind::MaxPool2d:
-      case OpKind::AvgPool2d:
-      case OpKind::GlobalAvgPool:
-      case OpKind::FusedAttention:
-        return ildVariable;
-
-      // Element-wise: touches each element once, any layout works, and
-      // the output order is free.  Inference-mode BatchNorm is a folded
-      // per-channel affine transform, i.e. element-wise.
-      case OpKind::BatchNorm:
-      case OpKind::Relu:
-      case OpKind::Gelu:
-      case OpKind::Silu:
-      case OpKind::Sigmoid:
-      case OpKind::Tanh:
-      case OpKind::Exp:
-      case OpKind::Sqrt:
-      case OpKind::Neg:
-      case OpKind::Identity:
-      case OpKind::Scale:
-      case OpKind::Add:
-      case OpKind::Sub:
-      case OpKind::Mul:
-      case OpKind::Div:
-        return iliVariable;
-
-      // Layout transformations: performance sensitive to the input
-      // layout (they move memory), output layout fixed by definition.
-      case OpKind::Reshape:
-      case OpKind::Transpose:
-      case OpKind::DepthToSpace:
-      case OpKind::SpaceToDepth:
-        return ildFixed;
-
-      // Selection: layout-insensitive, output layout tied to input.
-      case OpKind::Gather:
-      case OpKind::Slice:
-      case OpKind::Concat:
-      case OpKind::Pad:
-        return iliFixed;
-
-      case OpKind::Input:
-      case OpKind::Constant:
-        // Terminals are treated as layout-independent fixed sources.
-        return iliFixed;
-    }
-    smPanic("unhandled op kind in classifyOp");
+    const ir::OpInfo &info = ir::opInfo(kind);
+    return {info.inputLayoutDependent ? LayoutDep::Dependent
+                                      : LayoutDep::Independent,
+            info.fixedOutput ? OutputFlex::Fixed : OutputFlex::Variable};
 }
 
 std::string

@@ -44,7 +44,8 @@ constexpr OpClass iliVariable{LayoutDep::Independent, OutputFlex::Variable};
 constexpr OpClass ildFixed{LayoutDep::Dependent, OutputFlex::Fixed};
 constexpr OpClass iliFixed{LayoutDep::Independent, OutputFlex::Fixed};
 
-/** Classify an operator kind into its quadrant (Table 3). */
+/** Classify an operator kind into its quadrant (Table 3), as its
+ *  ir::OpInfo row states it. */
 OpClass classifyOp(ir::OpKind kind);
 
 /** "ILD & Variable" etc. */

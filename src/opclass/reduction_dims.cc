@@ -1,7 +1,5 @@
 #include "opclass/reduction_dims.h"
 
-#include "support/error.h"
-
 namespace smartmem::opclass {
 
 using ir::OpKind;
@@ -11,52 +9,44 @@ reductionDims(const ir::Graph &graph, const ir::Node &node, int input_idx)
 {
     const ir::Shape &in =
         graph.value(node.inputs[static_cast<std::size_t>(input_idx)]).shape;
-    switch (node.kind) {
-      case OpKind::Conv2d:
-      case OpKind::GroupConv2d:
-        // x: aggregate over input channels (dim 1) and the window.
-        // w (OIHW): aggregate over I, KH, KW.
+    switch (ir::opInfo(node.kind).category) {
+      case ir::OpCategory::Conv:
+        // Depthwise: per-channel window aggregation only.  Otherwise
+        // x aggregates over input channels (dim 1) and the window, and
+        // w (OIHW) over I, KH, KW.
+        if (node.kind == OpKind::DepthwiseConv2d)
+            return {2, 3};
         return input_idx == 0 ? std::vector<int>{1}
                               : std::vector<int>{1, 2, 3};
-      case OpKind::DepthwiseConv2d:
-        // Per-channel window aggregation only.
-        return input_idx == 0 ? std::vector<int>{2, 3}
-                              : std::vector<int>{2, 3};
-      case OpKind::MatMul:
-      case OpKind::BatchMatMul: {
+      case ir::OpCategory::MatMul: {
         bool trans_b = node.attrs.getInt("transB", 0) != 0;
         if (input_idx == 0)
             return {in.rank() - 1}; // K is A's last dim
         // B: K is the second-to-last dim, or last when transposed.
         return {trans_b ? in.rank() - 1 : in.rank() - 2};
       }
-      case OpKind::LayerNorm:
-        return input_idx == 0 ? std::vector<int>{in.rank() - 1}
-                              : std::vector<int>{};
-      case OpKind::InstanceNorm:
-        return {2, 3};
-      case OpKind::Softmax: {
+      case ir::OpCategory::Norm:
+        if (node.kind == OpKind::InstanceNorm)
+            return {2, 3};
+        if (node.kind == OpKind::LayerNorm && input_idx == 0)
+            return {in.rank() - 1};
+        return {}; // gamma/beta, and BatchNorm's per-channel affine map
+      case ir::OpCategory::Softmax: {
         int axis = static_cast<int>(
             node.attrs.getInt("axis", in.rank() - 1));
         if (axis < 0)
             axis += in.rank();
         return {axis};
       }
-      case OpKind::ReduceSum:
-      case OpKind::ReduceMean:
-      case OpKind::ReduceMax: {
-        if (input_idx != 0)
-            return {};
+      case ir::OpCategory::Reduce: {
         std::vector<int> out;
         for (auto a : node.attrs.getInts("axes"))
             out.push_back(static_cast<int>(a));
         return out;
       }
-      case OpKind::MaxPool2d:
-      case OpKind::AvgPool2d:
-      case OpKind::GlobalAvgPool:
+      case ir::OpCategory::Pool:
         return {2, 3};
-      case OpKind::FusedAttention:
+      case ir::OpCategory::Attention:
         // Q aggregates over dk (last dim); K over dk (last dim); V over
         // the context length M (rank-2 dim); the bias is read-only.
         if (input_idx == 0 || input_idx == 1)

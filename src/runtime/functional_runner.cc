@@ -106,7 +106,7 @@ verifyPlan(const ExecutionPlan &plan)
     // Values available before any kernel runs.
     std::set<ir::ValueId> available;
     for (const ir::Node &n : graph.nodes()) {
-        if (n.kind == ir::OpKind::Input || n.kind == ir::OpKind::Constant)
+        if (ir::isTerminal(n.kind))
             available.insert(n.output);
     }
 

@@ -1,6 +1,5 @@
 #include "runtime/plan_executor.h"
 
-#include "exec/cpu_backend.h"
 #include "runtime/functional_runner.h"
 #include "support/error.h"
 #include "support/strings.h"
@@ -60,23 +59,7 @@ class CpuBlockedExecutor final : public PlanExecutor
         return backend_.run(plan, inputs, &stats_);
     }
 
-    std::int64_t poolHighWaterBytes() const override
-    {
-        return stats_.poolHighWaterBytes;
-    }
-
-    int fusedAttentionKernels() const override
-    {
-        return stats_.fusedAttentionKernels;
-    }
-
-    std::int64_t scoreBytesAvoided() const override
-    {
-        return stats_.scoreBytesAvoided;
-    }
-
-    /** Full counters of the most recent run. */
-    const exec::CpuBackendStats &stats() const { return stats_; }
+    exec::CpuBackendStats lastRunStats() const override { return stats_; }
 
   private:
     exec::CpuBackend backend_{exec::CpuBackendOptions{}};

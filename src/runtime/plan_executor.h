@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/cpu_backend.h"
 #include "exec/tensor.h"
 #include "runtime/plan.h"
 
@@ -64,16 +65,9 @@ class PlanExecutor
     run(const ExecutionPlan &plan,
         const std::map<ir::ValueId, exec::Tensor> &inputs) = 0;
 
-    /** Peak bytes of pooled buffers in the most recent run(); 0 for
-     *  backends without a real allocator (reference). */
-    virtual std::int64_t poolHighWaterBytes() const { return 0; }
-
-    /** Streaming fused-attention launches in the most recent run();
-     *  0 for backends without the streaming kernel (reference). */
-    virtual int fusedAttentionKernels() const { return 0; }
-
-    /** Score-matrix bytes those launches avoided materializing. */
-    virtual std::int64_t scoreBytesAvoided() const { return 0; }
+    /** Counters of the most recent run(); zeroed for backends that
+     *  keep none (reference). */
+    virtual exec::CpuBackendStats lastRunStats() const { return {}; }
 };
 
 /** Registered backend names, in registry order. */

@@ -100,7 +100,7 @@ runBackend(const runtime::ExecutionPlan &plan, const std::string &name,
     auto inputs = exec::makeSeededInputs(plan.graph, ex);
     auto out = engine->run(plan, inputs);
     if (attention_kernels != nullptr)
-        *attention_kernels = engine->fusedAttentionKernels();
+        *attention_kernels = engine->lastRunStats().fusedAttentionKernels;
     return out;
 }
 

@@ -259,7 +259,7 @@ TEST(PlanExecutorRegistry, BackendsAgreeThroughTheFacade)
     auto blocked = runtime::makeExecutor("cpu-blocked", o);
     auto got = blocked->run(plan, inputs);
     EXPECT_LE(exec::maxRelDiff(ref, got), kTolerance);
-    EXPECT_GT(blocked->poolHighWaterBytes(), 0);
+    EXPECT_GT(blocked->lastRunStats().poolHighWaterBytes, 0);
 }
 
 TEST(CpuBackendSeeds, SeedMismatchChangesOutputs)

@@ -46,23 +46,82 @@ run1(BuildFn &&build, const std::vector<std::pair<Shape, Tensor>> &ins)
     return ex.runOutputs(g, env)[0];
 }
 
-TEST(Exec, ReluAndNeg)
+TEST(Exec, ElementwiseFormulas)
 {
-    Shape s({4});
-    Tensor x = fill(s, {-1, 0, 2, -3});
-    Tensor y = run1(
-        [](GraphBuilder &b, const std::vector<ir::ValueId> &v) {
-            return b.unary(OpKind::Relu, v[0]);
-        },
-        {{s, x}});
-    EXPECT_EQ(y.at(0), 0);
-    EXPECT_EQ(y.at(2), 2);
-    Tensor n = run1(
-        [](GraphBuilder &b, const std::vector<ir::ValueId> &v) {
-            return b.unary(OpKind::Neg, v[0]);
-        },
-        {{s, x}});
-    EXPECT_EQ(n.at(3), 3);
+    // Every unary kind on x = {-2, -0.5, 0, 1.5}, against values
+    // computed by hand in double precision.
+    const Shape s({4});
+    const Tensor x = fill(s, {-2, -0.5f, 0, 1.5f});
+    struct UnaryCase
+    {
+        OpKind kind;
+        std::int64_t scaleMilli; // 0 = attribute absent
+        std::vector<float> want;
+    };
+    const std::vector<UnaryCase> unary = {
+        {OpKind::Relu, 0, {0, 0, 0, 1.5f}},
+        // The tanh form 0.5x(1 + tanh(sqrt(2/pi)(x + 0.044715x^3))),
+        // not the erf form x * Phi(x) (-0.0455003 at x = -2).
+        {OpKind::Gelu, 0, {-0.04540231f, -0.154286f, 0, 1.399572f}},
+        {OpKind::Silu, 0, {-0.2384058f, -0.1887703f, 0, 1.226362f}},
+        {OpKind::Sigmoid, 0, {0.1192029f, 0.3775407f, 0.5f, 0.8175745f}},
+        {OpKind::Tanh, 0, {-0.9640276f, -0.4621172f, 0, 0.9051483f}},
+        {OpKind::Exp, 0, {0.1353353f, 0.6065307f, 1, 4.481689f}},
+        // Negative inputs clamp to 0 instead of producing NaN.
+        {OpKind::Sqrt, 0, {0, 0, 0, 1.224745f}},
+        {OpKind::Neg, 0, {2, 0.5f, 0, -1.5f}},
+        {OpKind::Identity, 0, {-2, -0.5f, 0, 1.5f}},
+        {OpKind::Scale, 0, {-2, -0.5f, 0, 1.5f}},
+        {OpKind::Scale, 2500, {-5, -1.25f, 0, 3.75f}},
+    };
+    for (const UnaryCase &c : unary) {
+        SCOPED_TRACE(ir::opKindName(c.kind) + " scale_milli " +
+                     std::to_string(c.scaleMilli));
+        ir::Attrs attrs;
+        if (c.scaleMilli != 0)
+            attrs.set("scale_milli", c.scaleMilli);
+        Tensor y = run1(
+            [&](GraphBuilder &b, const std::vector<ir::ValueId> &v) {
+                return b.addNode(c.kind, {v[0]}, attrs);
+            },
+            {{s, x}});
+        for (std::int64_t i = 0; i < 4; ++i)
+            EXPECT_NEAR(y.at(i), c.want[static_cast<std::size_t>(i)],
+                        1e-5);
+    }
+
+    // Every binary kind with the [3] operand broadcast on either side,
+    // which pins the operand order of Sub and Div.
+    const Shape wide({2, 3});
+    const Shape row({3});
+    const Tensor a = fill(wide, {1, 2, 3, 4, 5, 6});
+    const Tensor c = fill(row, {2, 4, 8});
+    struct BinaryCase
+    {
+        OpKind kind;
+        std::vector<float> wideOpRow; // a op c
+        std::vector<float> rowOpWide; // c op a
+    };
+    const std::vector<BinaryCase> binary = {
+        {OpKind::Add, {3, 6, 11, 6, 9, 14}, {3, 6, 11, 6, 9, 14}},
+        {OpKind::Sub, {-1, -2, -5, 2, 1, -2}, {1, 2, 5, -2, -1, 2}},
+        {OpKind::Mul, {2, 8, 24, 8, 20, 48}, {2, 8, 24, 8, 20, 48}},
+        {OpKind::Div, {0.5f, 0.5f, 0.375f, 2, 1.25f, 0.75f},
+         {2, 2, 2.6666667f, 0.5f, 0.8f, 1.3333333f}},
+    };
+    for (const BinaryCase &bc : binary) {
+        SCOPED_TRACE(ir::opKindName(bc.kind));
+        auto op = [&](GraphBuilder &b, const std::vector<ir::ValueId> &v) {
+            return b.binary(bc.kind, v[0], v[1]);
+        };
+        Tensor y = run1(op, {{wide, a}, {row, c}});
+        Tensor yr = run1(op, {{row, c}, {wide, a}});
+        for (std::int64_t i = 0; i < 6; ++i) {
+            const auto w = static_cast<std::size_t>(i);
+            EXPECT_NEAR(y.at(i), bc.wideOpRow[w], 1e-6);
+            EXPECT_NEAR(yr.at(i), bc.rowOpWide[w], 1e-6);
+        }
+    }
 }
 
 TEST(Exec, AddBroadcastsTrailingDims)

@@ -145,6 +145,17 @@ TEST(GraphSerialize, RejectsMalformedAndStructurallyInvalidText)
          replaced(good, "inputs 1 0", "inputs 1 2")},
         {"outputs out of range",
          replaced(good, "outputs 1 3", "outputs 1 9")},
+        // Input counts outside the op table's range.
+        {"zero-input GlobalAvgPool",
+         replaced(replaced(good, "Relu", "GlobalAvgPool"), "in 1 2",
+                  "in 0")},
+        {"zero-input Reshape",
+         replaced(replaced(good, "Relu", "Reshape"), "in 1 2", "in 0")},
+        {"one-input BatchNorm", replaced(good, "Relu", "BatchNorm")},
+        {"two-input Relu", replaced(good, "in 1 2", "in 2 2 2")},
+        {"five-input FusedAttention",
+         replaced(replaced(good, "Relu", "FusedAttention"), "in 1 2",
+                  "in 5 2 2 2 2 2")},
     };
     for (const Case &c : bad) {
         SCOPED_TRACE(c.label);

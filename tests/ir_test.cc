@@ -1,10 +1,15 @@
 /**
  * @file
- * Unit tests for the IR: shapes, layouts, graph building, shape
- * inference and MAC counting.
+ * Unit tests for the IR: operator kinds, shapes, layouts, graph
+ * building, shape inference and MAC counting.
  */
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
+#include <utility>
+
+#include "index/index_map.h"
 #include "ir/graph.h"
 #include "ir/layout.h"
 #include "ir/macs.h"
@@ -14,6 +19,75 @@
 
 namespace smartmem::ir {
 namespace {
+
+TEST(OpKind, NamesSpellEnumeratorsAndRoundTrip)
+{
+    const std::pair<OpKind, const char *> kinds[] = {
+        {OpKind::Input, "Input"},
+        {OpKind::Constant, "Constant"},
+        {OpKind::Conv2d, "Conv2d"},
+        {OpKind::DepthwiseConv2d, "DepthwiseConv2d"},
+        {OpKind::GroupConv2d, "GroupConv2d"},
+        {OpKind::MatMul, "MatMul"},
+        {OpKind::BatchMatMul, "BatchMatMul"},
+        {OpKind::LayerNorm, "LayerNorm"},
+        {OpKind::InstanceNorm, "InstanceNorm"},
+        {OpKind::BatchNorm, "BatchNorm"},
+        {OpKind::Softmax, "Softmax"},
+        {OpKind::ReduceSum, "ReduceSum"},
+        {OpKind::ReduceMean, "ReduceMean"},
+        {OpKind::ReduceMax, "ReduceMax"},
+        {OpKind::MaxPool2d, "MaxPool2d"},
+        {OpKind::AvgPool2d, "AvgPool2d"},
+        {OpKind::GlobalAvgPool, "GlobalAvgPool"},
+        {OpKind::Relu, "Relu"},
+        {OpKind::Gelu, "Gelu"},
+        {OpKind::Silu, "Silu"},
+        {OpKind::Sigmoid, "Sigmoid"},
+        {OpKind::Tanh, "Tanh"},
+        {OpKind::Exp, "Exp"},
+        {OpKind::Sqrt, "Sqrt"},
+        {OpKind::Neg, "Neg"},
+        {OpKind::Identity, "Identity"},
+        {OpKind::Scale, "Scale"},
+        {OpKind::Add, "Add"},
+        {OpKind::Sub, "Sub"},
+        {OpKind::Mul, "Mul"},
+        {OpKind::Div, "Div"},
+        {OpKind::Reshape, "Reshape"},
+        {OpKind::Transpose, "Transpose"},
+        {OpKind::DepthToSpace, "DepthToSpace"},
+        {OpKind::SpaceToDepth, "SpaceToDepth"},
+        {OpKind::Gather, "Gather"},
+        {OpKind::Slice, "Slice"},
+        {OpKind::Concat, "Concat"},
+        {OpKind::Pad, "Pad"},
+        {OpKind::FusedAttention, "FusedAttention"},
+    };
+    ASSERT_EQ(std::size(kinds), static_cast<std::size_t>(kLastOpKind) + 1);
+    for (std::size_t i = 0; i < std::size(kinds); ++i) {
+        const auto &[kind, name] = kinds[i];
+        EXPECT_EQ(kind, static_cast<OpKind>(i)) << name;
+        EXPECT_EQ(opKindName(kind), name);
+        EXPECT_EQ(opKindFromName(name), kind);
+    }
+    EXPECT_FALSE(isOpKindName("Relu6"));
+    EXPECT_THROW(opKindFromName("Relu6"), smartmem::FatalError);
+}
+
+TEST(OpKind, IndexMapEliminatesExactlyTheDataMovementOps)
+{
+    const std::set<OpKind> eliminable = {
+        OpKind::Reshape, OpKind::Transpose, OpKind::DepthToSpace,
+        OpKind::SpaceToDepth, OpKind::Slice, OpKind::Gather,
+        OpKind::Identity};
+    for (int k = 0; k <= static_cast<int>(kLastOpKind); ++k) {
+        const auto kind = static_cast<OpKind>(k);
+        EXPECT_EQ(index::IndexMap::isEliminable(kind),
+                  eliminable.count(kind) == 1)
+            << opKindName(kind);
+    }
+}
 
 TEST(Shape, BasicProperties)
 {

@@ -62,6 +62,14 @@ struct MacsExpectation
     double tolerance; // relative
 };
 
+/** Print the fields rather than gtest's byte dump, whose `name` pointer
+ *  changes with the load address and so would change the test's name. */
+void PrintTo(const MacsExpectation &e, std::ostream *os)
+{
+    *os << "(\"" << e.name << "\", " << e.paperGmacs << ", " << e.tolerance
+        << ")";
+}
+
 class ModelMacs : public ::testing::TestWithParam<MacsExpectation>
 {
 };

@@ -6,6 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "ir/graph.h"
 #include "opclass/opclass.h"
 #include "opclass/reduction_dims.h"
@@ -17,22 +21,40 @@ using ir::OpKind;
 
 TEST(Classify, Table3Quadrants)
 {
-    // ILD & Variable: compute ops.
-    EXPECT_EQ(classifyOp(OpKind::Conv2d), ildVariable);
-    EXPECT_EQ(classifyOp(OpKind::MatMul), ildVariable);
-    EXPECT_EQ(classifyOp(OpKind::LayerNorm), ildVariable);
-    EXPECT_EQ(classifyOp(OpKind::Softmax), ildVariable);
-    // ILI & Variable: element-wise.
-    EXPECT_EQ(classifyOp(OpKind::Relu), iliVariable);
-    EXPECT_EQ(classifyOp(OpKind::Add), iliVariable);
-    // ILD & Fixed: layout transformations.
-    EXPECT_EQ(classifyOp(OpKind::Reshape), ildFixed);
-    EXPECT_EQ(classifyOp(OpKind::Transpose), ildFixed);
-    EXPECT_EQ(classifyOp(OpKind::DepthToSpace), ildFixed);
-    EXPECT_EQ(classifyOp(OpKind::SpaceToDepth), ildFixed);
-    // ILI & Fixed: selection.
-    EXPECT_EQ(classifyOp(OpKind::Gather), iliFixed);
-    EXPECT_EQ(classifyOp(OpKind::Slice), iliFixed);
+    const std::vector<std::pair<OpClass, std::vector<OpKind>>> quadrants = {
+        // ILD & Variable: compute with reuse or a reduction.
+        {ildVariable,
+         {OpKind::Conv2d, OpKind::DepthwiseConv2d, OpKind::GroupConv2d,
+          OpKind::MatMul, OpKind::BatchMatMul, OpKind::LayerNorm,
+          OpKind::InstanceNorm, OpKind::Softmax, OpKind::ReduceSum,
+          OpKind::ReduceMean, OpKind::ReduceMax, OpKind::MaxPool2d,
+          OpKind::AvgPool2d, OpKind::GlobalAvgPool,
+          OpKind::FusedAttention}},
+        // ILI & Variable: element-wise, including inference-mode
+        // BatchNorm (a folded per-channel affine map).
+        {iliVariable,
+         {OpKind::BatchNorm, OpKind::Relu, OpKind::Gelu, OpKind::Silu,
+          OpKind::Sigmoid, OpKind::Tanh, OpKind::Exp, OpKind::Sqrt,
+          OpKind::Neg, OpKind::Identity, OpKind::Scale, OpKind::Add,
+          OpKind::Sub, OpKind::Mul, OpKind::Div}},
+        // ILD & Fixed: layout transformations.
+        {ildFixed,
+         {OpKind::Reshape, OpKind::Transpose, OpKind::DepthToSpace,
+          OpKind::SpaceToDepth}},
+        // ILI & Fixed: selection.
+        {iliFixed,
+         {OpKind::Gather, OpKind::Slice, OpKind::Concat, OpKind::Pad}},
+    };
+    std::set<OpKind> covered;
+    for (const auto &[quadrant, kinds] : quadrants) {
+        for (OpKind kind : kinds) {
+            SCOPED_TRACE(ir::opKindName(kind));
+            EXPECT_EQ(classifyOp(kind), quadrant);
+            covered.insert(kind);
+        }
+    }
+    // Every kind but the two terminals (Input, Constant).
+    EXPECT_EQ(covered.size(), 38u);
 }
 
 TEST(Action, Table5FirstRowIldVariable)

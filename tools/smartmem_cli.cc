@@ -292,7 +292,7 @@ cmdClassify()
     report::Table table({"Operator", "Quadrant"});
     for (int k = 0; k <= static_cast<int>(ir::kLastOpKind); ++k) {
         auto kind = static_cast<ir::OpKind>(k);
-        if (kind == ir::OpKind::Input || kind == ir::OpKind::Constant)
+        if (ir::isTerminal(kind))
             continue;
         table.addRow({ir::opKindName(kind),
                       opclass::opClassName(opclass::classifyOp(kind))});
@@ -617,17 +617,18 @@ cmdRun(int argc, char **argv)
                                : support::defaultThreadCount(),
                 simd, static_cast<long long>(tiles.rowTile),
                 static_cast<long long>(tiles.kBlock));
-    if (be->poolHighWaterBytes() > 0) {
+    const exec::CpuBackendStats st = be->lastRunStats();
+    if (st.poolHighWaterBytes > 0) {
         std::printf("  pool high-water %s\n",
                     formatBytes(static_cast<std::uint64_t>(
-                        be->poolHighWaterBytes())).c_str());
+                        st.poolHighWaterBytes)).c_str());
     }
-    if (be->fusedAttentionKernels() > 0) {
+    if (st.fusedAttentionKernels > 0) {
         std::printf("  fused attention: %d streaming kernels, %s score "
                     "matrix avoided\n",
-                    be->fusedAttentionKernels(),
+                    st.fusedAttentionKernels,
                     formatBytes(static_cast<std::uint64_t>(
-                        be->scoreBytesAvoided())).c_str());
+                        st.scoreBytesAvoided)).c_str());
     }
     std::printf("  outputs %zu, checksum %.6g\n", outputs.size(),
                 checksum);
