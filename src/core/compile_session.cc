@@ -23,13 +23,7 @@ pipelineSuffix(int stage, const SmartMemOptions &pipeline)
     // Staged compiles override the toggles (compileStage); encode the
     // effective configuration so stage presets and hand-built options
     // that mean the same thing still key separately only via `stage`.
-    SmartMemOptions e = pipeline;
-    if (stage >= 0) {
-        e = SmartMemOptions();
-        e.enableLte = stage >= 1;
-        e.enableLayoutSelect = stage >= 2;
-        e.enableTextureMapping = stage >= 3;
-    }
+    const SmartMemOptions e = stage >= 0 ? stagePreset(stage) : pipeline;
     std::string fp = "stage=" + std::to_string(stage);
     fp += ";lte=" + std::to_string(e.enableLte ? 1 : 0);
     fp += ";idx=" + std::to_string(e.enableIndexSimplify ? 1 : 0);
@@ -183,9 +177,9 @@ CompileSession::compileSourceUncached(
     // parallelism is already inline (onWorkerThread), so zoo-level
     // sharding stays the only parallelism there; on the calling
     // thread (compileModel, or a serial session) the session's thread
-    // count caps the intra-compile fan-out of layout_select/tuner --
-    // nThreads == 1 reproduces the fully serial pipeline.  Results
-    // are bit-identical either way.
+    // count caps the intra-compile fan-out of layout_select's
+    // candidate scoring -- nThreads == 1 reproduces the fully serial
+    // pipeline.  Results are bit-identical either way.
     support::ThreadBudgetGuard budget(threadCount());
 
     // Warm disk path: resolve the alias record to a canonical key and
@@ -244,9 +238,8 @@ CompileSession::compileSourceUncached(
         ++(loaded ? stats_.diskHits : stats_.diskMisses);
     }
     if (!loaded) {
-        plan = options.stage >= 0
-            ? compileStage(canon, dev_, options.stage)
-            : compileSmartMem(canon, dev_, options.pipeline);
+        plan = compileCanonical(canon, dev_, options.pipeline,
+                                options.stage);
         plan.cacheKey = key;
         if (disk)
             disk->store(plan);
@@ -298,9 +291,8 @@ CompileSession::compileGraph(const ir::Graph &graph,
         ++(loaded ? stats_.diskHits : stats_.diskMisses);
     }
     if (!loaded) {
-        plan = options.stage >= 0
-            ? compileStage(canon, dev_, options.stage)
-            : compileSmartMem(canon, dev_, options.pipeline);
+        plan = compileCanonical(canon, dev_, options.pipeline,
+                                options.stage);
         plan.cacheKey = key;
         if (disk)
             disk->store(plan);

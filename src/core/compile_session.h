@@ -33,8 +33,8 @@
  * produced at any thread count are byte-identical to the serial
  * path's (compileZoo collects results in submission order).  Worker
  * threads compile with a thread budget of 1, which keeps the nested
- * candidate-scoring/tuner parallelism of layout_select.cc and
- * tuner.cc from re-entering a pool.
+ * candidate-scoring parallelism of layout_select.cc from re-entering
+ * a pool.
  */
 #ifndef SMARTMEM_CORE_COMPILE_SESSION_H
 #define SMARTMEM_CORE_COMPILE_SESSION_H

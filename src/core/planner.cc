@@ -51,8 +51,21 @@ struct PlannerState
     std::map<NodeId, int> groupOf;           // node -> group index
     std::vector<std::vector<NodeId>> groups; // kernels in creation order
 
+    /** value -> Graph::consumers(value), built in one pass: each node
+     *  is listed once per distinct input, in node-id order. */
+    std::vector<std::vector<NodeId>> consumers;
+
     explicit PlannerState(const Graph &g, const FusionPolicy &p)
-        : graph(g), policy(p) {}
+        : graph(g), policy(p), consumers(g.values().size())
+    {
+        for (const Node &n : g.nodes()) {
+            for (ValueId v : n.inputs) {
+                auto &list = consumers[static_cast<std::size_t>(v)];
+                if (list.empty() || list.back() != n.id)
+                    list.push_back(n.id);
+            }
+        }
+    }
 };
 
 /**
@@ -66,6 +79,21 @@ struct ResolvedInput
     ValueId substitute;
     std::optional<index::IndexMap> map;
 };
+
+/** The first materialized value behind `value`: the source
+ *  resolveThroughEliminated() reports, without building its map. */
+ValueId
+sourceThroughEliminated(const PlannerState &st, ValueId value)
+{
+    const Graph &g = st.graph;
+    ValueId cur = value;
+    while (true) {
+        const Node &p = g.node(g.value(cur).producer);
+        if (st.eliminated.count(p.id) == 0)
+            return cur;
+        cur = p.inputs[0];
+    }
+}
 
 ResolvedInput
 resolveThroughEliminated(const PlannerState &st, ValueId value)
@@ -98,7 +126,7 @@ void
 effectiveConsumers(const PlannerState &st, ValueId value,
                    std::vector<NodeId> *out)
 {
-    for (NodeId c : st.graph.consumers(value)) {
+    for (NodeId c : st.consumers[static_cast<std::size_t>(value)]) {
         // Eliminated Gathers keep their index constant as a second
         // input; the constant edge is irrelevant here.
         if (st.eliminated.count(c) > 0) {
@@ -271,8 +299,8 @@ planGraph(const Graph &graph, const FusionPolicy &policy)
 
         int joined = -1;
         for (ValueId vin : n.inputs) {
-            ResolvedInput r = resolveThroughEliminated(st, vin);
-            const Node &p = graph.node(graph.value(r.source).producer);
+            const ValueId source = sourceThroughEliminated(st, vin);
+            const Node &p = graph.node(graph.value(source).producer);
             if (ir::isTerminal(p.kind))
                 continue;
             auto git = st.groupOf.find(p.id);
@@ -280,9 +308,9 @@ planGraph(const Graph &graph, const FusionPolicy &policy)
                 continue;
             int g = git->second;
             // Only extend at the group's exit.
-            if (groupExit(st, g) != r.source)
+            if (groupExit(st, g) != source)
                 continue;
-            if (!soleEffectiveConsumer(st, r.source, nid))
+            if (!soleEffectiveConsumer(st, source, nid))
                 continue;
             if (!canJoin(st, n, g))
                 continue;

@@ -44,15 +44,28 @@ canonicalizeGraph(const ir::Graph &graph, opt::PipelineStats *stats)
                                                                stats);
 }
 
-runtime::ExecutionPlan
-compileSmartMem(const ir::Graph &graph, const device::DeviceProfile &dev,
-                const SmartMemOptions &options)
+SmartMemOptions
+stagePreset(int stage)
 {
-    ir::Graph g = canonicalizeGraph(graph);
+    SM_REQUIRE(stage >= 0 && stage <= 3, "stage must be 0..3");
+    SmartMemOptions o;
+    o.enableLte = stage >= 1;
+    o.enableLayoutSelect = stage >= 2;
+    o.enableTextureMapping = stage >= 3;
+    o.enableTuner = true;
+    return o;
+}
+
+runtime::ExecutionPlan
+compileCanonical(const ir::Graph &canon, const device::DeviceProfile &dev,
+                 const SmartMemOptions &pipeline, int stage)
+{
+    SM_REQUIRE(stage >= -1 && stage <= 3, "stage must be -1..3");
+    const SmartMemOptions options =
+        stage >= 0 ? stagePreset(stage) : pipeline;
 
     runtime::ExecutionPlan plan = planGraph(
-        g, smartFusion(options.enableLte, options.enableIndexSimplify));
-    plan.compilerName = "SmartMem";
+        canon, smartFusion(options.enableLte, options.enableIndexSimplify));
 
     LayoutStrategy strategy;
     if (!options.enableLayoutSelect)
@@ -67,7 +80,17 @@ compileSmartMem(const ir::Graph &graph, const device::DeviceProfile &dev,
 
     if (options.enableTuner)
         tunePlan(plan, dev);
+    static const char *names[] = {
+        "DNNF", "DNNF+LTE", "DNNF+LTE+LayoutSel", "SmartMem"};
+    plan.compilerName = stage >= 0 ? names[stage] : "SmartMem";
     return plan;
+}
+
+runtime::ExecutionPlan
+compileSmartMem(const ir::Graph &graph, const device::DeviceProfile &dev,
+                const SmartMemOptions &options)
+{
+    return compileCanonical(canonicalizeGraph(graph), dev, options);
 }
 
 runtime::ExecutionPlan
@@ -75,16 +98,8 @@ compileStage(const ir::Graph &graph, const device::DeviceProfile &dev,
              int stage)
 {
     SM_REQUIRE(stage >= 0 && stage <= 3, "stage must be 0..3");
-    SmartMemOptions o;
-    o.enableLte = stage >= 1;
-    o.enableLayoutSelect = stage >= 2;
-    o.enableTextureMapping = stage >= 3;
-    o.enableTuner = true;
-    runtime::ExecutionPlan plan = compileSmartMem(graph, dev, o);
-    static const char *names[] = {
-        "DNNF", "DNNF+LTE", "DNNF+LTE+LayoutSel", "SmartMem"};
-    plan.compilerName = names[stage];
-    return plan;
+    return compileCanonical(canonicalizeGraph(graph), dev,
+                            SmartMemOptions(), stage);
 }
 
 } // namespace smartmem::core

@@ -74,8 +74,25 @@ runtime::ExecutionPlan
 compileStage(const ir::Graph &graph, const device::DeviceProfile &dev,
              int stage);
 
+/** The stage toggles compileStage() compiles `stage` (0..3) with. */
+SmartMemOptions stagePreset(int stage);
+
 /**
- * The graph canonicalization every compile above runs before planning:
+ * compileSmartMem(graph, dev, pipeline) for stage -1, compileStage(graph,
+ * dev, stage) for stage 0..3 (whose preset overrides `pipeline`) --
+ * minus the canonicalization both run first: `canon` must already be
+ * canonicalizeGraph() output.  Both are wrappers over this;
+ * CompileSession calls it with the canonical graph it builds for the
+ * cache key, so a cold compile canonicalizes once.  Canonicalization is
+ * idempotent, so the plans are the same.
+ */
+runtime::ExecutionPlan
+compileCanonical(const ir::Graph &canon, const device::DeviceProfile &dev,
+                 const SmartMemOptions &pipeline, int stage = -1);
+
+/**
+ * The graph canonicalization every compile above runs (or, for
+ * compileCanonical, expects to have run) before planning:
  * opt::PassManager::defaultPipeline() driven to a fixed point
  * (identity-elim, CSE, algebraic simplification, constant folding,
  * conv+batchnorm folding, DCE).  The graph attached to a compiled plan

@@ -4,7 +4,6 @@
 
 #include "cost/kernel_cost.h"
 #include "support/rng.h"
-#include "support/thread_pool.h"
 
 namespace smartmem::core {
 
@@ -23,22 +22,6 @@ mix(std::uint64_t a, std::uint64_t b)
 }
 
 using Genome = std::vector<int>;
-
-void
-applyGenome(runtime::ExecutionPlan &plan, const Genome &g,
-            const device::DeviceProfile &dev)
-{
-    for (std::size_t i = 0; i < plan.kernels.size(); ++i)
-        plan.kernels[i].tunedEfficiency = configEfficiency(i, g[i], dev);
-}
-
-double
-fitness(runtime::ExecutionPlan &plan, const Genome &g,
-        const device::DeviceProfile &dev)
-{
-    applyGenome(plan, g, dev);
-    return cost::costPlan(dev, plan).seconds;
-}
 
 } // namespace
 
@@ -73,40 +56,28 @@ tunePlan(runtime::ExecutionPlan &plan, const device::DeviceProfile &dev,
                 static_cast<std::size_t>(options.configSpace)));
     }
 
-    // Fitness evaluations are independent per genome, so generations
-    // evaluate on the pool.  fitness() overwrites every kernel's
-    // tunedEfficiency before costing, so each parallel slot gets its
-    // own scratch copy of the plan and results match the serial loop
-    // bit for bit.
-    const int slots = support::effectiveParallelism(pop.size());
-    std::vector<runtime::ExecutionPlan> scratch;
-    if (slots > 1)
-        scratch.assign(static_cast<std::size_t>(slots), plan);
-    auto evaluatePopulation = [&](std::vector<double> &fit) {
-        fit.resize(pop.size());
-        if (slots > 1) {
-            support::parallelFor(
-                pop.size(), [&](std::size_t i, int slot) {
-                    fit[i] = fitness(
-                        scratch[static_cast<std::size_t>(slot)],
-                        pop[i], dev);
-                });
-        } else {
-            for (std::size_t i = 0; i < pop.size(); ++i)
-                fit[i] = fitness(plan, pop[i], dev);
-        }
+    // A configuration changes only its kernel's tunedEfficiency, which
+    // enters one term of the cost model.  So the plan is costed once,
+    // and a genome's fitness is costPlan's in-order sum of per-kernel
+    // seconds re-rated at the genome's efficiencies: bit-identical to
+    // re-costing the whole plan with the genome applied.
+    const cost::PlanCost base = cost::costPlan(dev, plan);
+    auto fitness = [&](const Genome &g) {
+        double seconds = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            seconds += base.perKernel[i].secondsAt(
+                configEfficiency(i, g[i], dev));
+        return seconds;
     };
 
     Genome best = pop[0];
-    double best_fit = fitness(plan, best, dev);
+    double best_fit = fitness(best);
 
     for (int gen = 0; gen < options.generations; ++gen) {
         // Evaluate and sort by fitness (lower is better).
-        std::vector<double> fit;
-        evaluatePopulation(fit);
         std::vector<std::pair<double, std::size_t>> ranked;
         for (std::size_t i = 0; i < pop.size(); ++i)
-            ranked.emplace_back(fit[i], i);
+            ranked.emplace_back(fitness(pop[i]), i);
         std::sort(ranked.begin(), ranked.end());
         if (ranked[0].first < best_fit) {
             best_fit = ranked[0].first;
@@ -134,7 +105,8 @@ tunePlan(runtime::ExecutionPlan &plan, const device::DeviceProfile &dev,
         }
         pop = std::move(next);
     }
-    applyGenome(plan, best, dev);
+    for (std::size_t i = 0; i < n; ++i)
+        plan.kernels[i].tunedEfficiency = configEfficiency(i, best[i], dev);
     return best_fit;
 }
 

@@ -103,7 +103,23 @@ copyKernelReadStride(const ir::Graph &graph, const Kernel &kernel,
     return std::max<std::int64_t>(std::llabs(o1 - o0), 1);
 }
 
+/** The compute term of `kc` at tuned efficiency `tuned`. */
+double
+computeSecondsAt(const KernelCost &kc, double tuned)
+{
+    return kc.computeWork > 0 ? kc.computeWork / (kc.computeRate * tuned)
+                              : 0.0;
+}
+
 } // namespace
+
+double
+KernelCost::secondsAt(double tuned) const
+{
+    return overheadSeconds +
+           std::max(computeSecondsAt(*this, tuned), memorySeconds) +
+           indexSeconds;
+}
 
 std::int64_t
 probeReadStride(const ir::Graph &graph, const KernelInput &in,
@@ -322,16 +338,11 @@ costKernel(const device::DeviceProfile &dev, const ExecutionPlan &plan,
 
     // ---- compute time ----
     double layout_factor = strided_ild_read ? 0.6 : 1.0;
-    std::int64_t work = std::max(kc.macs, work_elems);
-    if (work > 0 && !kc.isLayoutTransform) {
-        kc.computeSeconds = static_cast<double>(work) /
-                            (dev.peakMacsPerSec * eff * layout_factor *
-                             kernel.tunedEfficiency);
-    }
-
-    kc.seconds = kc.overheadSeconds +
-                 std::max(kc.computeSeconds, kc.memorySeconds) +
-                 kc.indexSeconds;
+    if (!kc.isLayoutTransform)
+        kc.computeWork = static_cast<double>(std::max(kc.macs, work_elems));
+    kc.computeRate = dev.peakMacsPerSec * eff * layout_factor;
+    kc.computeSeconds = computeSecondsAt(kc, kernel.tunedEfficiency);
+    kc.seconds = kc.secondsAt(kernel.tunedEfficiency);
     return kc;
 }
 

@@ -36,12 +36,25 @@ struct KernelCost
     double indexSeconds = 0;
     double overheadSeconds = 0;
 
+    /** The compute term's inputs: work (max of MACs and output
+     *  elements; 0 for relayout kernels) and the untuned rate
+     *  peak * op efficiency * layout factor it runs at, so that
+     *  computeSeconds = computeWork / (computeRate * tunedEfficiency). */
+    double computeWork = 0;
+    double computeRate = 0;
+
     std::int64_t macs = 0;
     std::int64_t bytesRead = 0;      ///< effective (post-penalty) bytes
     std::int64_t bytesWritten = 0;   ///< effective bytes
     std::int64_t memAccessElems = 0; ///< logical element accesses
     std::int64_t cacheMissLines = 0; ///< estimated line fetches
     bool isLayoutTransform = false;  ///< explicit/implicit relayout kernel
+
+    /** `seconds` as costKernel computes it for the kernel with its
+     *  tunedEfficiency set to `tuned`: the same expression, so the
+     *  auto-tuner scores configurations on cached terms with
+     *  bit-identical results. */
+    double secondsAt(double tuned) const;
 };
 
 /** Aggregated plan cost. */

@@ -99,7 +99,9 @@ class Graph
     const std::vector<ValueId> &inputIds() const { return inputs_; }
     const std::vector<ValueId> &outputIds() const { return outputs_; }
 
-    /** Node ids consuming the given value, in node-id order. */
+    /** Node ids consuming the given value, in node-id order, each
+     *  once.  Scans every node: a loop over many values should build
+     *  a value -> consumers index in one pass instead. */
     std::vector<NodeId> consumers(ValueId id) const;
 
     /** Nodes in a topological order (inputs before consumers). */

@@ -97,7 +97,7 @@ int defaultThreadCount();
 
 /**
  * Process-wide pool for intra-compilation parallelism (candidate
- * scoring in layout selection, GA fitness evaluation in the tuner).
+ * scoring in layout selection).
  * Null when defaultThreadCount() == 1; created lazily otherwise.
  */
 ThreadPool *globalPool();

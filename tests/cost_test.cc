@@ -9,8 +9,10 @@
 #include "cost/roofline.h"
 #include "core/planner.h"
 #include "core/layout_select.h"
+#include "core/smartmem_compiler.h"
 #include "device/device_profile.h"
 #include "ir/graph.h"
+#include "models/models.h"
 
 namespace smartmem::cost {
 namespace {
@@ -145,6 +147,35 @@ TEST(Cost, TunedEfficiencySpeedsCompute)
     plan.kernels[0].tunedEfficiency = 1.0;
     auto tuned = costKernel(dev, plan, plan.kernels[0]);
     EXPECT_LT(tuned.computeSeconds, base.computeSeconds);
+}
+
+TEST(Cost, ComputeSecondsIsWorkOverTunedRate)
+{
+    // The auto-tuner re-rates kernels from computeWork and computeRate
+    // alone, so these must reproduce computeSeconds exactly.
+    auto dev = device::adreno740();
+    int relayouts = 0;
+    for (int stage : {0, 3}) {
+        for (const char *model : {"Swin", "ResNext"}) {
+            SCOPED_TRACE(std::string(model) + " stage " +
+                         std::to_string(stage));
+            auto plan = core::compileStage(models::buildModel(model), dev,
+                                           stage);
+            for (const auto &k : plan.kernels) {
+                KernelCost kc = costKernel(dev, plan, k);
+                EXPECT_EQ(kc.computeSeconds,
+                          kc.computeWork /
+                              (kc.computeRate * k.tunedEfficiency))
+                    << k.name;
+                EXPECT_EQ(kc.seconds, kc.secondsAt(k.tunedEfficiency));
+                if (kc.isLayoutTransform) {
+                    EXPECT_EQ(kc.computeWork, 0.0) << k.name;
+                    ++relayouts;
+                }
+            }
+        }
+    }
+    EXPECT_GT(relayouts, 0);
 }
 
 TEST(Roofline, AttainableCapsAtPeak)

@@ -103,6 +103,34 @@ TEST(Planner, ValueWithTwoConsumersEndsGroup)
     EXPECT_EQ(plan.operatorCount(), 2);
 }
 
+TEST(Planner, RepeatedOperandIsOneConsumer)
+{
+    // A node reading one value twice is one consumer of it
+    // (Graph::consumers), so relu -> mul(r, r) is a single-exit chain
+    // and fuses -- also when the repeated operand is an eliminated
+    // transpose of the relu.
+    for (bool through_transpose : {false, true}) {
+        SCOPED_TRACE(through_transpose);
+        GraphBuilder b;
+        auto x = b.input("x", Shape({4, 4}));
+        auto r = b.unary(OpKind::Relu, x);
+        auto operand = through_transpose ? b.transpose(r, {1, 0}) : r;
+        auto y = b.binary(OpKind::Mul, operand, operand);
+        b.markOutput(y);
+        auto g = b.finish();
+        const ir::NodeId mul = g.value(y).producer;
+        EXPECT_EQ(g.consumers(operand), std::vector<ir::NodeId>{mul});
+
+        auto plan = planGraph(g, smartPolicy());
+        EXPECT_EQ(eliminatedNodes(g, smartPolicy()).size(),
+                  through_transpose ? 1u : 0u);
+        ASSERT_EQ(plan.operatorCount(), 1);
+        EXPECT_EQ(plan.kernels[0].fusedNodes,
+                  (std::vector<ir::NodeId>{g.value(r).producer, mul}));
+        EXPECT_NO_THROW(runtime::verifyPlan(plan));
+    }
+}
+
 TEST(Planner, TransformChainsFuseIntoOneCopyKernel)
 {
     GraphBuilder b;

@@ -14,16 +14,19 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "baselines/baselines.h"
 #include "core/compile_session.h"
+#include "core/compiler_registry.h"
 #include "core/layout_select.h"
 #include "core/plan_cache_dir.h"
 #include "core/planner.h"
 #include "core/smartmem_compiler.h"
 #include "device/device_profile.h"
+#include "device/device_registry.h"
 #include "opt/pass.h"
 #include "index/expr.h"
 #include "index/index_map.h"
@@ -34,6 +37,7 @@
 #include "serialize/graph_text.h"
 #include "serialize/plan_text.h"
 #include "support/error.h"
+#include "support/hash.h"
 
 namespace smartmem {
 namespace {
@@ -378,6 +382,59 @@ TEST(PlanSerialize, GraphSignatureStableUnderCanonicalization)
     // The zoo must exercise both directions of the contract.
     EXPECT_GT(unchanged, 0);
     EXPECT_GT(rewritten, 0);
+}
+
+/**
+ * The standing byte-identity gate for compiled plans.
+ * tests/plan_digests.txt holds the FNV-1a digest of serializePlan()
+ * for every zoo model compiled at stages 0 and 3 on four devices and
+ * by the six baseline proxies on adreno740.  A change to the compile
+ * path that is not meant to change plans must leave every line
+ * as recorded.  On a mismatch the actual manifest is written into the
+ * build tree; a change that alters plans on purpose records it over
+ * the committed one and says why.
+ */
+TEST(PlanSerialize, ZooPlansMatchRecordedDigests)
+{
+    std::string actual =
+        "# <device> <compiler> <model> <fnv1a64 of serializePlan>, "
+        "checked by PlanSerialize.ZooPlansMatchRecordedDigests\n";
+    auto record = [&](const std::string &device,
+                      const std::string &compiler) {
+        core::CompileSession session(
+            device::DeviceRegistry::builtins().find(device), 0);
+        session.setPlanCacheDir("");
+        const core::Compiler &c =
+            core::CompilerRegistry::builtins().find(compiler);
+        for (const std::string &model : models::allModels()) {
+            core::CompilerResult r =
+                c.compile(session, model, core::CompileOptions());
+            actual += device + " " + compiler + " " + model + " " +
+                      (r.supported
+                           ? fnv1aHex(serialize::serializePlan(*r.plan))
+                           : "unsupported") +
+                      "\n";
+        }
+    };
+    for (const char *device : {"adreno740", "mali-g57", "v100", "apple-m2"})
+        for (const char *stage : {"smartmem-stage0", "smartmem-stage3"})
+            record(device, stage);
+    for (const char *baseline :
+         {"mnn", "ncnn", "tflite", "tvm", "dnnf", "inductor"})
+        record("adreno740", baseline);
+
+    const std::string manifest =
+        std::string(SMARTMEM_SOURCE_DIR) + "/tests/plan_digests.txt";
+    std::ifstream in(manifest);
+    std::stringstream expected;
+    expected << in.rdbuf();
+    if (expected.str() == actual)
+        return;
+    const std::string written =
+        std::string(SMARTMEM_BINARY_DIR) + "/plan_digests.actual.txt";
+    std::ofstream(written) << actual;
+    ADD_FAILURE() << "compiled plans differ from the recorded digests: "
+                  << "diff " << manifest << " " << written;
 }
 
 // ---------------------------------------------------------------------

@@ -211,7 +211,7 @@ TEST(ParallelFor, SlotsAreWithinRangeAndExclusive)
 TEST(ParallelFor, MatchesSerialAccumulation)
 {
     // Per-slot partial sums recombined in slot order must equal the
-    // serial result (the pattern layout selection and tuner use).
+    // serial result (the pattern for per-slot scratch state).
     const std::size_t n = 1000;
     const int slots = effectiveParallelism(n);
     std::vector<long> partial(static_cast<std::size_t>(slots), 0);

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "core/planner.h"
+#include "core/smartmem_compiler.h"
 #include "core/tuner.h"
 #include "cost/kernel_cost.h"
+#include "models/models.h"
 
 namespace smartmem::core {
 namespace {
@@ -101,6 +103,42 @@ TEST(Tuner, MoreGenerationsNeverWorse)
     double s = tunePlan(p1, dev, small);
     double l = tunePlan(p2, dev, large);
     EXPECT_LE(l, s + 1e-12);
+}
+
+TEST(Tuner, ReturnedSecondsAreTheTunedPlansCost)
+{
+    // tunePlan costs the plan once and scores every genome on the
+    // cached per-kernel terms; the seconds it returns must still be,
+    // bit for bit, what the cost model says of the plan it tuned.
+    // Stage 0 (no LTE, no layout search) keeps relayout kernels and
+    // strided ILD reads; stage 3 has texture and buffer convs and
+    // streaming attention.
+    SmartMemOptions stage3;
+    stage3.enableTuner = false;
+    SmartMemOptions stage0 = stage3;
+    stage0.enableLte = false;
+    stage0.enableLayoutSelect = false;
+    int relayouts = 0;
+    int attention = 0;
+    for (const auto &dev :
+         {device::adreno740(), device::maliG57(), device::teslaV100()}) {
+        for (const SmartMemOptions &untuned : {stage0, stage3}) {
+            for (const char *model : {"Swin", "ResNext", "ViT"}) {
+                SCOPED_TRACE(dev.name + " " + model + " lte " +
+                             std::to_string(untuned.enableLte));
+                auto plan = compileSmartMem(models::buildModel(model),
+                                            dev, untuned);
+                const double tuned = tunePlan(plan, dev);
+                EXPECT_EQ(tuned, cost::costPlan(dev, plan).seconds);
+                for (const auto &kc : cost::costPlan(dev, plan).perKernel)
+                    relayouts += kc.isLayoutTransform ? 1 : 0;
+                for (const auto &k : plan.kernels)
+                    attention += k.streamingAttention ? 1 : 0;
+            }
+        }
+    }
+    EXPECT_GT(relayouts, 0);
+    EXPECT_GT(attention, 0);
 }
 
 TEST(Tuner, EmptyPlanIsNoop)
