@@ -1,6 +1,8 @@
 #include "exec/cpu_backend.h"
 
+#include <algorithm>
 #include <cstring>
+#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -42,52 +44,114 @@ dimContribution(std::int64_t c, std::int64_t stride, bool packed)
     return packed ? (c / 4) * stride + c % 4 : c * stride;
 }
 
+/** table[d][c]: offset contribution of coordinate c on dimension d
+ *  of `shape` stored in layout `l`. */
+std::vector<std::vector<std::int64_t>>
+dimOffsetTables(const Layout &l, const Shape &shape)
+{
+    const auto str = l.strides(shape);
+    std::vector<std::vector<std::int64_t>> t(
+        static_cast<std::size_t>(shape.rank()));
+    for (int d = 0; d < shape.rank(); ++d) {
+        auto &td = t[static_cast<std::size_t>(d)];
+        td.resize(static_cast<std::size_t>(shape.dim(d)));
+        for (std::int64_t c = 0; c < shape.dim(d); ++c)
+            td[static_cast<std::size_t>(c)] = dimContribution(
+                c, str[static_cast<std::size_t>(d)], d == l.packedDim());
+    }
+    return t;
+}
+
 /**
- * Copy `shape` elements between two physical layouts, walking logical
- * coordinates row-major with incrementally maintained offsets (no
- * per-element coordinate vectors or physicalOffset() calls).
- * Parallel over contiguous logical-index ranges: each chunk seeds its
- * offsets from a single delinearize, then walks the same odometer, so
- * every element is written by exactly one worker and the output is
- * byte-identical at any thread count (it is a pure copy).
+ * Length of the unit-stride runs two offset tables over the same
+ * `cols` coordinates share: cols when both are contiguous, else 4
+ * when both advance by one within every aligned group of four (a
+ * vec4-packed dimension against a contiguous one), else 1.
+ */
+std::int64_t
+sharedRun(const std::int64_t *a, const std::int64_t *b, std::int64_t cols)
+{
+    for (std::int64_t len : {cols, std::int64_t{4}}) {
+        bool keeps = len > 1 && cols % len == 0;
+        for (std::int64_t x = 0; x < cols && keeps; ++x) {
+            const std::int64_t head = x - x % len;
+            keeps = a[x] == a[head] + x % len && b[x] == b[head] + x % len;
+        }
+        if (keeps)
+            return len;
+    }
+    return 1;
+}
+
+/**
+ * Copy `shape` elements between two physical layouts: unpack, pack,
+ * relayout kernels and output extraction.  Walks the rows (every
+ * dimension but the innermost) keeping each row's offsets as prefix
+ * sums of per-dimension offset tables, so stepping to the next row
+ * usually updates one entry, and copies each row in a tight loop over
+ * the innermost dimension's tables.  Parallel over row ranges, each
+ * chunk seeding its walk from its first row; a pure copy, so the
+ * output is byte-identical at any thread count.
  */
 void
 relayoutCopy(const Shape &shape, const float *src, const Layout &srcL,
              float *dst, const Layout &dstL, const ParallelRunner &par)
 {
     const std::int64_t total = shape.numElements();
+    if (total == 0)
+        return;
     if (isRowMajorLayout(srcL) && isRowMajorLayout(dstL)) {
         std::memcpy(dst, src,
                     static_cast<std::size_t>(total) * sizeof(float));
         return;
     }
-    const int rank = shape.rank();
-    const auto sstr = srcL.strides(shape);
-    const auto dstr = dstL.strides(shape);
-    const int spack = srcL.packedDim();
-    const int dpack = dstL.packedDim();
-    par.run(total, 4096, [&](std::int64_t i0, std::int64_t i1) {
-        std::vector<std::int64_t> coord = ir::delinearize(i0, shape);
-        std::int64_t soff = 0, doff = 0;
-        for (int d = 0; d < rank; ++d) {
-            const auto di = static_cast<std::size_t>(d);
-            soff += dimContribution(coord[di], sstr[di], d == spack);
-            doff += dimContribution(coord[di], dstr[di], d == dpack);
+    const int outer = shape.rank() - 1; // rank >= 1: not row-major
+    const auto st = dimOffsetTables(srcL, shape);
+    const auto dt = dimOffsetTables(dstL, shape);
+    const std::int64_t cols = shape.dim(outer);
+    const std::int64_t *sIn = st.back().data();
+    const std::int64_t *dIn = dt.back().data();
+    const std::int64_t run = sharedRun(sIn, dIn, cols);
+    par.run(total / cols, std::max<std::int64_t>(1, 4096 / cols),
+            [&](std::int64_t r0, std::int64_t r1) {
+        const auto n = static_cast<std::size_t>(outer);
+        // coord: the row's outer coordinates; sPre[d] / dPre[d]: offset
+        // of dims [0, d), so sPre[outer] is the row's source offset.
+        std::vector<std::int64_t> coord(n), sPre(n + 1, 0), dPre(n + 1, 0);
+        std::int64_t rem = r0;
+        for (std::size_t d = n; d-- > 0;) {
+            coord[d] = rem % shape.dim(static_cast<int>(d));
+            rem /= shape.dim(static_cast<int>(d));
         }
-        for (std::int64_t i = i0; i < i1; ++i) {
-            dst[doff] = src[soff];
-            for (int d = rank - 1; d >= 0; --d) {
-                const auto di = static_cast<std::size_t>(d);
-                const std::int64_t c = coord[di];
-                soff -= dimContribution(c, sstr[di], d == spack);
-                doff -= dimContribution(c, dstr[di], d == dpack);
-                if (c + 1 < shape.dim(d)) {
-                    coord[di] = c + 1;
-                    soff += dimContribution(c + 1, sstr[di], d == spack);
-                    doff += dimContribution(c + 1, dstr[di], d == dpack);
-                    break;
+        std::size_t from = 0; // first dim whose prefix sums are stale
+        for (std::int64_t r = r0; r < r1; ++r) {
+            for (std::size_t d = from; d < n; ++d) {
+                const auto c = static_cast<std::size_t>(coord[d]);
+                sPre[d + 1] = sPre[d] + st[d][c];
+                dPre[d + 1] = dPre[d] + dt[d][c];
+            }
+            const float *s = src + sPre[n];
+            float *o = dst + dPre[n];
+            if (run == cols) {
+                std::memcpy(o, s, static_cast<std::size_t>(cols) *
+                                      sizeof(float));
+            } else if (run == 4) {
+                for (std::int64_t x = 0; x < cols; x += 4) {
+                    const float *a = s + sIn[x];
+                    float *b = o + dIn[x];
+                    b[0] = a[0];
+                    b[1] = a[1];
+                    b[2] = a[2];
+                    b[3] = a[3];
                 }
-                coord[di] = 0; // contribution of coordinate 0 is 0
+            } else {
+                for (std::int64_t x = 0; x < cols; ++x)
+                    o[dIn[x]] = s[sIn[x]];
+            }
+            for (from = n; from-- > 0;) {
+                if (++coord[from] < shape.dim(static_cast<int>(from)))
+                    break;
+                coord[from] = 0;
             }
         }
     });
@@ -154,44 +218,117 @@ batchOffsets(const NativeView &vw, const Shape &s, int nBatchDims,
 }
 
 /**
- * dst[i] = src[phys(map(coord(i)))]: reproduce an eliminated
- * transformation chain by reading the stored source (in its physical
- * layout) through the composed IndexMap.  Parallel over output
- * ranges; every element is independent.
+ * A read through an IndexMap lowered to offsets into its source's
+ * physical layout: element i of the row-major result is
+ * src[offset(i)].  A row is every output coordinate but the
+ * innermost.  When every row is its first row shifted,
+ * offset(r, x) == rowBase[r] + inner[x], only those two small tables
+ * are kept; otherwise `full` holds every element's offset.
  */
-void
-materializeMapped(const index::IndexMap &map, const float *src,
-                  const Layout &srcL, const Shape &srcShape, float *dst,
-                  const ParallelRunner &par)
+struct LoweredRead
+{
+    std::int64_t cols = 1;
+    std::vector<std::int64_t> rowBase;
+    std::vector<std::int64_t> inner;
+    std::vector<std::int64_t> full; // empty when row-separable
+};
+
+/**
+ * Evaluate `map` once per output element with the CompiledExprs
+ * interpreter, exactly as a per-element gather would, and keep the
+ * offsets in the smaller exact form (see LoweredRead).
+ */
+LoweredRead
+lowerRead(const index::IndexMap &map, const Layout &srcL,
+          const Shape &srcShape)
 {
     const Shape &os = map.outputShape();
     const auto sstr = srcL.strides(srcShape);
     const int spack = srcL.packedDim();
-    // Flatten the composed expressions once; the per-element loop
-    // then runs postfix programs instead of recursing shared_ptr
-    // trees (a 2-4x win on gather/reshape-heavy chains).
     const index::CompiledExprs exprs =
         index::CompiledExprs::compile(map.exprs());
     const int in_rank = srcShape.rank();
     const int out_rank = os.rank();
-    par.run(os.numElements(), 1024,
-            [&](std::int64_t i0, std::int64_t i1) {
-        std::vector<std::int64_t> coord = ir::delinearize(i0, os);
-        std::vector<std::int64_t> stack(exprs.stackDepth());
-        for (std::int64_t i = i0; i < i1; ++i) {
+    const std::int64_t n = os.numElements();
+
+    LoweredRead rd;
+    if (n == 0)
+        return rd;
+    rd.cols = out_rank > 0 ? os.dim(out_rank - 1) : 1;
+    const std::int64_t rows = n / rd.cols;
+    std::vector<std::int64_t> coord(static_cast<std::size_t>(out_rank), 0);
+    std::vector<std::int64_t> stack(exprs.stackDepth());
+    std::vector<std::int64_t> row(static_cast<std::size_t>(rd.cols));
+    rd.rowBase.reserve(static_cast<std::size_t>(rows));
+    for (std::int64_t r = 0; r < rows; ++r) {
+        for (std::int64_t x = 0; x < rd.cols; ++x) {
+            if (out_rank > 0)
+                coord.back() = x;
             std::int64_t off = 0;
-            for (int d = 0; d < in_rank; ++d) {
-                const std::int64_t c = exprs.eval(d, coord, stack);
-                off += dimContribution(
-                    c, sstr[static_cast<std::size_t>(d)], d == spack);
+            for (int d = 0; d < in_rank; ++d)
+                off += dimContribution(exprs.eval(d, coord, stack),
+                                       sstr[static_cast<std::size_t>(d)],
+                                       d == spack);
+            row[static_cast<std::size_t>(x)] = off;
+        }
+        if (r == 0) {
+            rd.inner = row;
+            for (std::int64_t &v : rd.inner)
+                v -= row[0];
+        }
+        bool separable = rd.full.empty();
+        for (std::size_t x = 0; x < row.size() && separable; ++x)
+            separable = row[x] == row[0] + rd.inner[x];
+        if (separable) {
+            rd.rowBase.push_back(row[0]);
+        } else {
+            if (rd.full.empty()) { // first exception: expand earlier rows
+                rd.full.reserve(static_cast<std::size_t>(n));
+                for (std::int64_t base : rd.rowBase)
+                    for (std::int64_t v : rd.inner)
+                        rd.full.push_back(base + v);
             }
-            dst[i] = src[off];
-            for (int d = out_rank - 1; d >= 0; --d) {
-                const auto di = static_cast<std::size_t>(d);
-                if (++coord[di] < os.dim(d))
-                    break;
-                coord[di] = 0;
-            }
+            rd.full.insert(rd.full.end(), row.begin(), row.end());
+        }
+        for (int d = out_rank - 2; d >= 0; --d) {
+            const auto di = static_cast<std::size_t>(d);
+            if (++coord[di] < os.dim(d))
+                break;
+            coord[di] = 0;
+        }
+    }
+    if (!rd.full.empty()) {
+        rd.rowBase = {};
+        rd.inner = {};
+    }
+    return rd;
+}
+
+/** dst[i] = src[offset(i)] over a lowered read.  Parallel over output
+ *  ranges; a pure gather, so byte-identical at any thread count. */
+void
+gather(const LoweredRead &rd, const float *src, float *dst,
+       const ParallelRunner &par)
+{
+    if (!rd.full.empty()) {
+        const std::int64_t *off = rd.full.data();
+        par.run(static_cast<std::int64_t>(rd.full.size()), 1024,
+                [&](std::int64_t i0, std::int64_t i1) {
+            for (std::int64_t i = i0; i < i1; ++i)
+                dst[i] = src[off[i]];
+        });
+        return;
+    }
+    const std::int64_t cols = rd.cols;
+    const std::int64_t *inner = rd.inner.data();
+    par.run(static_cast<std::int64_t>(rd.rowBase.size()),
+            std::max<std::int64_t>(1, 1024 / cols),
+            [&](std::int64_t r0, std::int64_t r1) {
+        for (std::int64_t r = r0; r < r1; ++r) {
+            const float *s = src + rd.rowBase[static_cast<std::size_t>(r)];
+            float *o = dst + r * cols;
+            for (std::int64_t x = 0; x < cols; ++x)
+                o[x] = s[inner[x]];
         }
     });
 }
@@ -246,27 +383,193 @@ struct LocalBuf
     bool inOutLayout = false;
 };
 
-/** A stored (value, copy) in its chosen physical layout. */
+/** A stored (value, copy) and the layout it was stored in. */
 struct StoredBuf
 {
     const float *data = nullptr;
-    bool owned = false; // pool-owned (false: borrowed input/constant)
-    Layout layout;
+    const Layout *layout = nullptr;
 };
 
+} // namespace
+
 // -------------------------------------------------------------------
-// PlanRunner: one CpuBackend::run() invocation
+// PreparedPlan: everything a run needs that depends only on the plan
+// and the seed
+// -------------------------------------------------------------------
+
+class PreparedPlan
+{
+  public:
+    /** Slot of a value no kernel stores: a model input or constant,
+     *  read row-major. */
+    static constexpr std::size_t kBoundary = static_cast<std::size_t>(-1);
+
+    /** Where a kernel input (or graph output) is read from. */
+    struct Source
+    {
+        /** Index of the kernel that stores the value -- the run's
+         *  buffer slot for it -- or kBoundary. */
+        std::size_t slot = kBoundary;
+
+        /** The layout the value is stored in (row-major for boundary
+         *  values and for a kernel's internal sources). */
+        Layout layout;
+
+        /** A substituted input's read map, lowered over `layout`. */
+        std::optional<LoweredRead> read;
+    };
+
+    struct PreparedKernel
+    {
+        std::vector<Source> inputs; ///< aligned with Kernel::inputs
+
+        /** Slots whose last reader this kernel is, in (value, copy)
+         *  order, released once it has run. */
+        std::vector<std::size_t> release;
+    };
+
+    PreparedPlan(const ExecutionPlan &plan, std::uint64_t seed);
+
+    const ExecutionPlan plan;
+    const std::uint64_t seed;
+    std::vector<PreparedKernel> kernels; ///< aligned with plan.kernels
+    std::vector<Source> outputs;         ///< per graph output
+
+    /** Graph::consumers() of every value, by value id. */
+    std::vector<std::vector<ir::NodeId>> consumers;
+
+    /** Surviving eliminable Transform/Select nodes, lowered over their
+     *  row-major input. */
+    std::map<ir::NodeId, LoweredRead> transforms;
+
+    /** Row-major contents of every constant a kernel reads, by value
+     *  id (null elsewhere), resident for the plan's lifetime -- the
+     *  paper's weights stay in memory. */
+    std::vector<const float *> constants;
+
+  private:
+    runtime::BufferPool constantStorage_;
+};
+
+PreparedPlan::PreparedPlan(const ExecutionPlan &p, std::uint64_t s)
+    : plan(p), seed(s)
+{
+    const ir::Graph &g = plan.graph;
+    const std::size_t nk = plan.kernels.size();
+    const Executor synth(seed);
+
+    constants.assign(g.values().size(), nullptr);
+    auto addConstant = [&](ValueId v) {
+        const auto vi = static_cast<std::size_t>(v);
+        if (constants[vi] ||
+            g.node(g.value(v).producer).kind != OpKind::Constant)
+            return;
+        Tensor t = synth.synthesizeConstant(g, v);
+        float *buf = constantStorage_.allocateFloats(t.numElements());
+        std::memcpy(buf, t.data(),
+                    static_cast<std::size_t>(t.numElements()) *
+                        sizeof(float));
+        constants[vi] = buf;
+    };
+
+    std::map<std::pair<ValueId, int>, std::size_t> slotOf;
+    for (std::size_t i = 0; i < nk; ++i) {
+        const Kernel &k = plan.kernels[i];
+        SM_ASSERT(slotOf.emplace(std::make_pair(k.output, k.copyIndex), i)
+                      .second,
+                  "value " + std::to_string(k.output) + " stored twice");
+    }
+    // The stored source of (v, copy) for a reader at kernel `reader`.
+    auto sourceOf = [&](ValueId v, int copy, std::size_t reader) {
+        Source src;
+        auto it = slotOf.find({v, copy});
+        if (it != slotOf.end() && it->second < reader) {
+            src.slot = it->second;
+            src.layout = plan.kernels[it->second].outLayout;
+            return src;
+        }
+        SM_ASSERT(copy == 0,
+                  "missing stored copy of value " + std::to_string(v));
+        const OpKind kind = g.node(g.value(v).producer).kind;
+        if (kind != OpKind::Input && kind != OpKind::Constant)
+            smPanic("value " + std::to_string(v) +
+                    " read before it was produced");
+        addConstant(v);
+        src.layout = Layout::rowMajor(g.value(v).shape.rank());
+        return src;
+    };
+
+    kernels.resize(nk);
+    for (std::size_t i = 0; i < nk; ++i) {
+        const Kernel &k = plan.kernels[i];
+        for (const KernelInput &in : k.inputs) {
+            const Shape &srcShape = g.value(in.source).shape;
+            Source src;
+            if (in.internalSource)
+                src.layout = Layout::rowMajor(srcShape.rank());
+            else
+                src = sourceOf(in.source, in.sourceCopy, i);
+            if (in.substitute != in.source) {
+                SM_ASSERT(in.readMap.has_value(),
+                          "substituted input without a read map");
+                src.read = lowerRead(*in.readMap, src.layout, srcShape);
+            }
+            kernels[i].inputs.push_back(std::move(src));
+        }
+        for (ir::NodeId id : k.fusedNodes) {
+            const Node &node = g.node(id);
+            for (ValueId v : node.inputs)
+                addConstant(v);
+            const ir::OpInfo &info = ir::opInfo(node.kind);
+            if ((info.category == ir::OpCategory::Transform ||
+                 info.category == ir::OpCategory::Select) &&
+                info.eliminable) {
+                const Shape &xs = g.value(node.inputs[0]).shape;
+                transforms.emplace(
+                    id, lowerRead(index::IndexMap::fromNode(g, node)
+                                      .simplified(),
+                                  Layout::rowMajor(xs.rank()), xs));
+            }
+        }
+    }
+    for (ValueId id : g.outputIds())
+        outputs.push_back(sourceOf(id, 0, nk));
+
+    // Release each stored value after its last reader, or right after
+    // its producer when nothing reads it; graph outputs live to the
+    // end.  slotOf iterates in (value, copy) order.
+    const auto lastUse = runtime::lastUses(plan);
+    for (const auto &[key, slot] : slotOf) {
+        auto lu = lastUse.find(key);
+        const std::size_t at =
+            lu == lastUse.end() ? slot : std::max(slot, lu->second);
+        if (at < nk)
+            kernels[at].release.push_back(slot);
+    }
+
+    consumers.resize(g.values().size());
+    for (const Node &n : g.nodes()) {
+        for (auto it = n.inputs.begin(); it != n.inputs.end(); ++it)
+            if (std::find(n.inputs.begin(), it, *it) == it)
+                consumers[static_cast<std::size_t>(*it)].push_back(n.id);
+    }
+}
+
+namespace {
+
+// -------------------------------------------------------------------
+// PlanRunner: one run of a prepared plan
 // -------------------------------------------------------------------
 
 class PlanRunner
 {
   public:
-    PlanRunner(const ExecutionPlan &plan,
+    PlanRunner(const PreparedPlan &prep,
                const std::map<ValueId, Tensor> &inputs,
                const CpuBackendOptions &opts)
-        : plan_(plan), graph_(plan.graph), inputs_(inputs),
-          par_(opts.threads), simd_(activeSimdLevel()),
-          constSynth_(opts.seed), lastUse_(runtime::lastUses(plan))
+        : prep_(prep), plan_(prep.plan), graph_(prep.plan.graph),
+          inputs_(inputs), par_(opts.threads), simd_(activeSimdLevel()),
+          stored_(prep.plan.kernels.size())
     {
         if (opts.gemmRowTile > 0)
             tiles_.rowTile = opts.gemmRowTile;
@@ -287,23 +590,21 @@ class PlanRunner
         return pool_.allocateFloats(elems);
     }
 
-    /** Row-major constant contents, synthesized once and resident for
-     *  the whole run (the paper's weights stay in memory). */
-    const float *constantData(ValueId v);
+    /** A model input or constant (row-major, borrowed). */
+    const float *boundaryData(ValueId v);
 
-    /** The stored buffer for (value, copy), falling back to model
-     *  inputs and constants for copy 0. */
-    StoredBuf resolveStored(ValueId v, int copy);
+    /** The stored buffer `src` (prepared for value v) names. */
+    StoredBuf resolveStored(const PreparedPlan::Source &src, ValueId v);
 
     /** Row-major view of `v` inside the current kernel, materializing
-     *  substitutes through their read maps on first use. */
+     *  substitutes through their lowered reads on first use. */
     const float *resolveLocal(const Kernel &k, ValueId v);
 
     /** Strided view of `v`'s *stored* buffer for layout-native
      *  consumption, or nullopt when the value must go through
      *  resolveLocal (already materialized locally, substituted through
      *  a read map, or stored row-major anyway). */
-    std::optional<NativeView> tryStoredView(ValueId v);
+    std::optional<NativeView> tryStoredView(const Kernel &k, ValueId v);
 
     /** Stride view of the kernel's output layout when the anchor op
      *  may store into it directly: single-node kernel whose node
@@ -311,60 +612,49 @@ class PlanRunner
     std::optional<NativeView> tryNativeStore(const Kernel &k,
                                              const Node &node);
 
-    void runRelayoutKernel(const Kernel &k);
-    void runComputeKernel(const Kernel &k);
+    void runRelayoutKernel(std::size_t ki);
+    void runComputeKernel(std::size_t ki);
     void evalNodeBlocked(const Kernel &k, const Node &node);
     bool tryFoldEpilogue(const Kernel &k, ValueId cur, const Node &next,
                          EpilogueStep *step);
-    void publishOutput(const Kernel &k);
-    void releaseDead(std::size_t kernel_idx);
+    void publishOutput(std::size_t ki);
+    void releaseDead(std::size_t ki);
 
     /** Fallback for rare ops: copy row-major locals into reference
      *  Tensors and reuse exec::evalNode. */
     void evalViaReference(const Kernel &k, const Node &node);
 
+    const PreparedPlan &prep_;
     const ExecutionPlan &plan_;
     const ir::Graph &graph_;
     const std::map<ValueId, Tensor> &inputs_;
     ParallelRunner par_;
     SimdLevel simd_;
     TileParams tiles_;
-    Executor constSynth_;
     runtime::BufferPool pool_;
     CpuBackendStats stats_;
 
-    std::map<std::pair<ValueId, int>, std::size_t> lastUse_;
-    std::map<std::pair<ValueId, int>, StoredBuf> env_;
-    std::map<ValueId, const float *> constants_;
+    /** Stored buffers by slot (producing kernel index); pool-owned. */
+    std::vector<StoredBuf> stored_;
 
     // Per-kernel state.
+    const PreparedPlan::PreparedKernel *kernelPrep_ = nullptr;
     std::map<ValueId, LocalBuf> locals_;
-    std::map<ValueId, const KernelInput *> kinBySubstitute_;
 };
 
-const float *
-PlanRunner::constantData(ValueId v)
+/** Index of the kernel input whose substitute is `v`, or -1. */
+int
+inputIndex(const Kernel &k, ValueId v)
 {
-    auto it = constants_.find(v);
-    if (it != constants_.end())
-        return it->second;
-    Tensor t = constSynth_.synthesizeConstant(graph_, v);
-    float *buf = alloc(t.numElements());
-    std::memcpy(buf, t.data(),
-                static_cast<std::size_t>(t.numElements()) *
-                    sizeof(float));
-    constants_[v] = buf;
-    return buf;
+    for (std::size_t i = 0; i < k.inputs.size(); ++i)
+        if (k.inputs[i].substitute == v)
+            return static_cast<int>(i);
+    return -1;
 }
 
-StoredBuf
-PlanRunner::resolveStored(ValueId v, int copy)
+const float *
+PlanRunner::boundaryData(ValueId v)
 {
-    auto it = env_.find({v, copy});
-    if (it != env_.end())
-        return it->second;
-    SM_ASSERT(copy == 0, "missing stored copy of value " +
-                             std::to_string(v));
     const Node &producer = graph_.node(graph_.value(v).producer);
     if (producer.kind == OpKind::Input) {
         auto in = inputs_.find(v);
@@ -372,15 +662,28 @@ PlanRunner::resolveStored(ValueId v, int copy)
                    "missing model input: " + producer.name);
         SM_REQUIRE(in->second.shape() == shapeOf(v),
                    "input shape mismatch: " + producer.name);
-        return {in->second.data(), false,
-                Layout::rowMajor(shapeOf(v).rank())};
+        return in->second.data();
     }
     if (producer.kind == OpKind::Constant) {
-        return {constantData(v), false,
-                Layout::rowMajor(shapeOf(v).rank())};
+        const float *c = prep_.constants[static_cast<std::size_t>(v)];
+        SM_ASSERT(c, "constant " + std::to_string(v) + " not prepared");
+        return c;
     }
     smPanic("value " + std::to_string(v) +
             " read before it was produced");
+}
+
+StoredBuf
+PlanRunner::resolveStored(const PreparedPlan::Source &src, ValueId v)
+{
+    if (src.slot == PreparedPlan::kBoundary)
+        return {boundaryData(v), &src.layout};
+    const StoredBuf &s = stored_[src.slot];
+    SM_ASSERT(s.data, "value " + std::to_string(v) + " read after release");
+    SM_ASSERT(*s.layout == src.layout,
+              "value " + std::to_string(v) +
+                  " stored in another layout than prepared");
+    return s;
 }
 
 const float *
@@ -390,17 +693,15 @@ PlanRunner::resolveLocal(const Kernel &k, ValueId v)
     if (lit != locals_.end())
         return lit->second.data;
 
-    auto kit = kinBySubstitute_.find(v);
-    if (kit != kinBySubstitute_.end()) {
-        const KernelInput &in = *kit->second;
-        if (in.substitute != in.source) {
+    const int idx = inputIndex(k, v);
+    if (idx >= 0) {
+        const KernelInput &in = k.inputs[static_cast<std::size_t>(idx)];
+        const PreparedPlan::Source &src =
+            kernelPrep_->inputs[static_cast<std::size_t>(idx)];
+        if (src.read) {
             // Eliminated chain: read the stored source through the
-            // composed map -- one pass for the whole chain.
-            SM_ASSERT(in.readMap.has_value(),
-                      "substituted input without a read map");
+            // lowered composed map -- one pass for the whole chain.
             const float *src_data = nullptr;
-            Layout src_layout = Layout::rowMajor(
-                shapeOf(in.source).rank());
             if (in.internalSource) {
                 auto sit = locals_.find(in.source);
                 SM_ASSERT(sit != locals_.end(),
@@ -408,26 +709,23 @@ PlanRunner::resolveLocal(const Kernel &k, ValueId v)
                               k.name);
                 src_data = sit->second.data;
             } else {
-                StoredBuf s = resolveStored(in.source, in.sourceCopy);
-                src_data = s.data;
-                src_layout = s.layout;
+                src_data = resolveStored(src, in.source).data;
             }
             float *dst = alloc(shapeOf(v).numElements());
-            materializeMapped(*in.readMap, src_data, src_layout,
-                              shapeOf(in.source), dst, par_);
+            gather(*src.read, src_data, dst, par_);
             ++stats_.substitutesMaterialized;
             locals_[v] = {dst, true};
             return dst;
         }
-        StoredBuf s = resolveStored(in.source, in.sourceCopy);
-        if (isRowMajorLayout(s.layout)) {
+        StoredBuf s = resolveStored(src, in.source);
+        if (isRowMajorLayout(*s.layout)) {
             locals_[v] = {s.data, false};
             return s.data;
         }
         // Unpack the chosen physical layout into the compute view.
         const Shape &shape = shapeOf(v);
         float *dst = alloc(shape.numElements());
-        relayoutCopy(shape, s.data, s.layout, dst,
+        relayoutCopy(shape, s.data, *s.layout, dst,
                      Layout::rowMajor(shape.rank()), par_);
         stats_.bytesRelayouted +=
             shape.numElements() *
@@ -438,32 +736,30 @@ PlanRunner::resolveLocal(const Kernel &k, ValueId v)
 
     // Not an external kernel input: constants (implicit inputs) and,
     // defensively, model inputs.
-    const Node &producer = graph_.node(graph_.value(v).producer);
-    if (producer.kind == OpKind::Constant)
-        return constantData(v);
-    if (producer.kind == OpKind::Input) {
-        StoredBuf s = resolveStored(v, 0);
-        return s.data;
-    }
+    const OpKind kind = graph_.node(graph_.value(v).producer).kind;
+    if (kind == OpKind::Constant || kind == OpKind::Input)
+        return boundaryData(v);
     smPanic("fused node input not available in " + k.name + ": value " +
             std::to_string(v));
 }
 
 std::optional<NativeView>
-PlanRunner::tryStoredView(ValueId v)
+PlanRunner::tryStoredView(const Kernel &k, ValueId v)
 {
     if (locals_.count(v))
         return std::nullopt; // already materialized row-major
-    auto kit = kinBySubstitute_.find(v);
-    if (kit == kinBySubstitute_.end())
+    const int idx = inputIndex(k, v);
+    if (idx < 0)
         return std::nullopt; // constant / implicit input (row-major)
-    const KernelInput &in = *kit->second;
-    if (in.substitute != in.source)
+    const PreparedPlan::Source &src =
+        kernelPrep_->inputs[static_cast<std::size_t>(idx)];
+    if (src.read)
         return std::nullopt; // read-map chain: materialize instead
-    StoredBuf s = resolveStored(in.source, in.sourceCopy);
-    if (isRowMajorLayout(s.layout))
+    StoredBuf s =
+        resolveStored(src, k.inputs[static_cast<std::size_t>(idx)].source);
+    if (isRowMajorLayout(*s.layout))
         return std::nullopt; // zero-copy row-major path is free
-    return makeNativeView(s.data, s.layout, shapeOf(v));
+    return makeNativeView(s.data, *s.layout, shapeOf(v));
 }
 
 std::optional<NativeView>
@@ -477,19 +773,20 @@ PlanRunner::tryNativeStore(const Kernel &k, const Node &node)
 }
 
 void
-PlanRunner::runRelayoutKernel(const Kernel &k)
+PlanRunner::runRelayoutKernel(std::size_t ki)
 {
+    const Kernel &k = plan_.kernels[ki];
     SM_ASSERT(k.inputs.size() == 1,
               "relayout kernel with != 1 input: " + k.name);
-    const KernelInput &in = k.inputs[0];
-    StoredBuf src = resolveStored(in.source, in.sourceCopy);
+    StoredBuf src =
+        resolveStored(prep_.kernels[ki].inputs[0], k.inputs[0].source);
     const Shape &shape = shapeOf(k.output);
     float *dst = alloc(k.outLayout.storageElements(shape));
-    relayoutCopy(shape, src.data, src.layout, dst, k.outLayout, par_);
+    relayoutCopy(shape, src.data, *src.layout, dst, k.outLayout, par_);
     stats_.bytesRelayouted +=
         shape.numElements() * static_cast<std::int64_t>(sizeof(float));
     ++stats_.relayoutKernels;
-    env_[{k.output, k.copyIndex}] = {dst, true, k.outLayout};
+    stored_[ki] = {dst, &k.outLayout};
 }
 
 bool
@@ -498,7 +795,8 @@ PlanRunner::tryFoldEpilogue(const Kernel &k, ValueId cur,
 {
     // The folded value must die here: consumed only by `next`, not a
     // graph output, and not the source of any read-map input.
-    if (graph_.consumers(cur) != std::vector<ir::NodeId>{next.id})
+    const auto &consumers = prep_.consumers[static_cast<std::size_t>(cur)];
+    if (consumers.size() != 1 || consumers[0] != next.id)
         return false;
     for (ValueId out : graph_.outputIds())
         if (out == cur)
@@ -560,7 +858,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         PlaneLayout xl =
             PlaneLayout::rowMajor(xs.dim(1), xs.dim(2), xs.dim(3));
         const float *x = nullptr;
-        if (auto nv = tryStoredView(node.inputs[0]);
+        if (auto nv = tryStoredView(k, node.inputs[0]);
             nv && xs.rank() == 4 &&
             (nv->packedDim == -1 || nv->packedDim == 1)) {
             x = nv->data;
@@ -654,7 +952,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
 
         std::vector<std::int64_t> aOff, bOff, cOff;
         MatView av, bv;
-        if (auto nv = tryStoredView(node.inputs[0]);
+        if (auto nv = tryStoredView(k, node.inputs[0]);
             nv && matrixDimsAffine(*nv, as.rank()) &&
             leadingProduct(as) == batch) {
             const auto r = static_cast<std::size_t>(as.rank());
@@ -670,7 +968,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
             av.cs = 1;
             av.batchStride = m * kk;
         }
-        if (auto nv = tryStoredView(node.inputs[1]);
+        if (auto nv = tryStoredView(k, node.inputs[1]);
             nv && matrixDimsAffine(*nv, bs.rank()) &&
             (bs.rank() <= 2 || leadingProduct(bs) == batch)) {
             const auto r = static_cast<std::size_t>(bs.rank());
@@ -838,12 +1136,8 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
             // Surviving transformation: one pass through its index map
             // (the same machinery eliminated chains use).
             const float *x = resolveLocal(k, node.inputs[0]);
-            const Shape &xs = shapeOf(node.inputs[0]);
-            index::IndexMap map =
-                index::IndexMap::fromNode(graph_, node).simplified();
             float *out = alloc(os.numElements());
-            materializeMapped(map, x, Layout::rowMajor(xs.rank()), xs,
-                              out, par_);
+            gather(prep_.transforms.at(node.id), x, out, par_);
             locals_[node.output] = {out, true};
             return;
         }
@@ -907,12 +1201,11 @@ PlanRunner::evalViaReference(const Kernel &k, const Node &node)
 }
 
 void
-PlanRunner::runComputeKernel(const Kernel &k)
+PlanRunner::runComputeKernel(std::size_t ki)
 {
+    const Kernel &k = plan_.kernels[ki];
+    kernelPrep_ = &prep_.kernels[ki];
     locals_.clear();
-    kinBySubstitute_.clear();
-    for (const KernelInput &in : k.inputs)
-        kinBySubstitute_[in.substitute] = &in;
 
     std::size_t i = 0;
     while (i < k.fusedNodes.size()) {
@@ -964,12 +1257,10 @@ PlanRunner::runComputeKernel(const Kernel &k)
         i = j;
     }
 
-    publishOutput(k);
+    publishOutput(ki);
 
     // Return per-kernel scratch to the pool.
-    auto out_it = env_.find({k.output, k.copyIndex});
-    const float *published =
-        out_it != env_.end() ? out_it->second.data : nullptr;
+    const float *published = stored_[ki].data;
     for (auto &[v, buf] : locals_) {
         if (buf.owned && buf.data != published)
             pool_.release(const_cast<float *>(buf.data));
@@ -978,8 +1269,9 @@ PlanRunner::runComputeKernel(const Kernel &k)
 }
 
 void
-PlanRunner::publishOutput(const Kernel &k)
+PlanRunner::publishOutput(std::size_t ki)
 {
+    const Kernel &k = plan_.kernels[ki];
     auto it = locals_.find(k.output);
     SM_ASSERT(it != locals_.end(),
               "kernel did not produce its output: " + k.name);
@@ -988,13 +1280,11 @@ PlanRunner::publishOutput(const Kernel &k)
         // Anchor op already wrote the kernel's chosen layout.
         SM_ASSERT(it->second.owned,
                   "native-layout store over a borrowed buffer");
-        env_[{k.output, k.copyIndex}] = {it->second.data, true,
-                                         k.outLayout};
+        stored_[ki] = {it->second.data, &k.outLayout};
         return;
     }
     if (isRowMajorLayout(k.outLayout) && it->second.owned) {
-        env_[{k.output, k.copyIndex}] = {it->second.data, true,
-                                         k.outLayout};
+        stored_[ki] = {it->second.data, &k.outLayout};
         return;
     }
     float *dst = alloc(k.outLayout.storageElements(shape));
@@ -1004,23 +1294,15 @@ PlanRunner::publishOutput(const Kernel &k)
         stats_.bytesRelayouted +=
             shape.numElements() *
             static_cast<std::int64_t>(sizeof(float));
-    env_[{k.output, k.copyIndex}] = {dst, true, k.outLayout};
+    stored_[ki] = {dst, &k.outLayout};
 }
 
 void
-PlanRunner::releaseDead(std::size_t kernel_idx)
+PlanRunner::releaseDead(std::size_t ki)
 {
-    for (auto it = env_.begin(); it != env_.end();) {
-        auto lu = lastUse_.find(it->first);
-        const std::size_t last =
-            lu == lastUse_.end() ? kernel_idx : lu->second;
-        if (last <= kernel_idx) {
-            if (it->second.owned)
-                pool_.release(const_cast<float *>(it->second.data));
-            it = env_.erase(it);
-        } else {
-            ++it;
-        }
+    for (std::size_t slot : prep_.kernels[ki].release) {
+        pool_.release(const_cast<float *>(stored_[slot].data));
+        stored_[slot] = {};
     }
 }
 
@@ -1032,28 +1314,23 @@ PlanRunner::run(CpuBackendStats *stats_out)
         if (k.fusedNodes.empty()) {
             SM_ASSERT(k.isLayoutCopy,
                       "empty kernel must be a layout copy: " + k.name);
-            runRelayoutKernel(k);
+            runRelayoutKernel(i);
         } else {
-            runComputeKernel(k);
+            runComputeKernel(i);
         }
         ++stats_.kernelsExecuted;
         releaseDead(i);
     }
 
     std::vector<Tensor> out;
-    out.reserve(plan_.graph.outputIds().size());
-    for (ValueId id : plan_.graph.outputIds()) {
-        StoredBuf s = resolveStored(id, 0);
+    out.reserve(graph_.outputIds().size());
+    for (std::size_t i = 0; i < graph_.outputIds().size(); ++i) {
+        const ValueId id = graph_.outputIds()[i];
+        const StoredBuf s = resolveStored(prep_.outputs[i], id);
         const Shape &shape = shapeOf(id);
         Tensor t(shape);
-        if (isRowMajorLayout(s.layout)) {
-            std::memcpy(t.data(), s.data,
-                        static_cast<std::size_t>(shape.numElements()) *
-                            sizeof(float));
-        } else {
-            relayoutCopy(shape, s.data, s.layout, t.data(),
-                         Layout::rowMajor(shape.rank()), par_);
-        }
+        relayoutCopy(shape, s.data, *s.layout, t.data(),
+                     Layout::rowMajor(shape.rank()), par_);
         out.push_back(std::move(t));
     }
 
@@ -1069,9 +1346,21 @@ PlanRunner::run(CpuBackendStats *stats_out)
 
 } // namespace
 
-CpuBackend::CpuBackend(CpuBackendOptions options)
-    : options_(options)
+struct CpuBackend::Cache
 {
+    std::mutex mu;
+    std::map<std::string, std::shared_ptr<const PreparedPlan>> plans;
+};
+
+CpuBackend::CpuBackend(CpuBackendOptions options)
+    : options_(options), cache_(std::make_shared<Cache>())
+{
+}
+
+std::shared_ptr<const PreparedPlan>
+CpuBackend::prepare(const ExecutionPlan &plan) const
+{
+    return std::make_shared<const PreparedPlan>(plan, options_.seed);
 }
 
 std::vector<Tensor>
@@ -1079,7 +1368,36 @@ CpuBackend::run(const ExecutionPlan &plan,
                 const std::map<ValueId, Tensor> &inputs,
                 CpuBackendStats *stats) const
 {
-    PlanRunner runner(plan, inputs, options_);
+    if (plan.cacheKey.empty())
+        return run(*prepare(plan), inputs, stats);
+    std::shared_ptr<const PreparedPlan> prepared;
+    {
+        std::lock_guard<std::mutex> lock(cache_->mu);
+        auto it = cache_->plans.find(plan.cacheKey);
+        if (it != cache_->plans.end())
+            prepared = it->second;
+    }
+    if (!prepared) {
+        // Prepared outside the lock; when callers race on one key,
+        // each prepares an identical plan and the first insert wins.
+        auto fresh = prepare(plan);
+        std::lock_guard<std::mutex> lock(cache_->mu);
+        prepared = cache_->plans.emplace(plan.cacheKey, std::move(fresh))
+                       .first->second;
+    }
+    return run(*prepared, inputs, stats);
+}
+
+std::vector<Tensor>
+CpuBackend::run(const PreparedPlan &prepared,
+                const std::map<ValueId, Tensor> &inputs,
+                CpuBackendStats *stats) const
+{
+    SM_REQUIRE(prepared.seed == options_.seed,
+               "plan was prepared with constant seed " +
+                   std::to_string(prepared.seed) + ", backend uses " +
+                   std::to_string(options_.seed));
+    PlanRunner runner(prepared, inputs, options_);
     return runner.run(stats);
 }
 

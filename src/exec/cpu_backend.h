@@ -18,19 +18,29 @@
  *    one copy per eliminated operator);
  *  - compute runs on cache-blocked/tiled kernels (kernels_blocked.h)
  *    with fused element-wise epilogues, parallelized over batch /
- *    output tiles on a fixed support::ThreadPool.
+ *    output tiles by a ParallelRunner whose support::ThreadPool is
+ *    built for each run.
+ *
+ * Execution is split in two.  prepare() does the per-plan work once:
+ * it synthesizes the constants and lowers every read map and
+ * surviving transformation to offset tables over its source's
+ * physical layout.  run() then does only per-input work.  A plan with
+ * a non-empty cacheKey is prepared on its first run and reused by
+ * every later run of an equal key (docs/EXECUTION.md).
  *
  * Results are byte-identical at every thread count (static work
  * partitioning; each output element is produced by exactly one task
- * in a fixed arithmetic order) and match the reference executor
- * within 1e-4 relative tolerance (tests/cpu_backend_test.cc pins
- * both across the model zoo).
+ * in a fixed arithmetic order), identical whether or not the run
+ * reused a preparation, and match the reference executor within 1e-4
+ * relative tolerance (tests/cpu_backend_test.cc pins all three across
+ * the model zoo).
  */
 #ifndef SMARTMEM_EXEC_CPU_BACKEND_H
 #define SMARTMEM_EXEC_CPU_BACKEND_H
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "exec/simd_dispatch.h"
@@ -76,7 +86,10 @@ struct CpuBackendStats
      *  the transformation work the plan did NOT eliminate. */
     std::int64_t bytesRelayouted = 0;
 
-    /** BufferPool high-water mark (intermediates + constants). */
+    /** High-water mark of the run's BufferPool: intermediates and
+     *  kernel scratch, the realized counterpart of
+     *  runtime::simulateMemory()'s peakIntermediateBytes.  Constants
+     *  live in the prepared plan and are not counted. */
     std::int64_t poolHighWaterBytes = 0;
 
     /** BufferPool allocations served by reuse. */
@@ -107,6 +120,16 @@ struct CpuBackendStats
     std::int64_t tileKBlock = 0;
 };
 
+/**
+ * A plan lowered for repeated execution by CpuBackend::prepare(): its
+ * own copy of the plan, the synthesized constants, the buffer slot and
+ * stored layout of every (value, copy), the release schedule from
+ * runtime::lastUses(), a value -> consumers index, and a lowered read
+ * for every substituted kernel input and surviving transformation.
+ * Immutable once built, so any number of runs may share it.
+ */
+class PreparedPlan;
+
 /** Plan-consuming blocked CPU executor (see file header). */
 class CpuBackend
 {
@@ -114,19 +137,45 @@ class CpuBackend
     explicit CpuBackend(CpuBackendOptions options = CpuBackendOptions());
 
     /**
+     * Lower `plan` once for any number of run(prepared, ...) calls.
+     * Constants are synthesized with options().seed, so the result
+     * runs only on backends with the same seed.
+     */
+    std::shared_ptr<const PreparedPlan>
+    prepare(const runtime::ExecutionPlan &plan) const;
+
+    /**
      * Execute the plan on the given model inputs (keyed by input value
      * id, row-major).  Returns the graph outputs in declaration order,
      * row-major.  `stats`, when non-null, receives the run's counters.
+     *
+     * A plan with a non-empty cacheKey is prepared on its first run
+     * and the preparation is reused by every later run of an equal key
+     * on this backend or a copy of it: equal non-empty keys promise
+     * interchangeable plans (runtime::ExecutionPlan::cacheKey).  An
+     * unkeyed plan is prepared on every call.  The SIMD level, the
+     * thread pool and the intermediate buffers are per run either way.
+     * Safe to call concurrently.
      */
     std::vector<Tensor>
     run(const runtime::ExecutionPlan &plan,
         const std::map<ir::ValueId, Tensor> &inputs,
         CpuBackendStats *stats = nullptr) const;
 
+    /** Execute a prepared plan; same contract as run(plan, ...). */
+    std::vector<Tensor>
+    run(const PreparedPlan &prepared,
+        const std::map<ir::ValueId, Tensor> &inputs,
+        CpuBackendStats *stats = nullptr) const;
+
     const CpuBackendOptions &options() const { return options_; }
 
   private:
+    /** Prepared keyed plans, shared by copies of this backend. */
+    struct Cache;
+
     CpuBackendOptions options_;
+    std::shared_ptr<Cache> cache_;
 };
 
 } // namespace smartmem::exec

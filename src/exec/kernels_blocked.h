@@ -46,9 +46,10 @@ namespace smartmem::exec {
 
 /**
  * Static-partition parallel driver over an index range.  Owns a
- * fixed-size support::ThreadPool (created once per executor, reused
- * across every kernel launch, so per-kernel overhead is one
- * submit/wait round, not thread creation).
+ * fixed-size support::ThreadPool for its lifetime (the cpu-blocked
+ * backend builds one runner per run), reused across every kernel
+ * launch of that run, so per-kernel overhead is one submit/wait
+ * round, not thread creation.
  */
 class ParallelRunner
 {

@@ -7,26 +7,89 @@
  * executor stays fast) is compared against exec::Executor at batch
  * {1, 4}, threads {1, 4}, stages {0, 3}; outputs must agree within
  * 1e-4 relative tolerance and be byte-identical at every thread
- * count.
+ * count.  Executed outputs are also pinned byte for byte against
+ * tests/exec_digests.txt, and the prepared-plan cache is held to its
+ * contract: a reused preparation never changes what a run computes.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <thread>
 
+#include "core/compile_session.h"
 #include "core/smartmem_compiler.h"
 #include "device/device_profile.h"
 #include "exec/cpu_backend.h"
 #include "exec/executor.h"
+#include "exec/simd_dispatch.h"
 #include "models/models.h"
 #include "runtime/plan_executor.h"
 #include "support/error.h"
+#include "support/hash.h"
+#include "simd_env_guard.h"
 
 namespace smartmem {
 namespace {
 
 constexpr std::uint64_t kSeed = 4242;
 constexpr float kTolerance = 1e-4f;
+
+using PlanPtr = std::shared_ptr<const runtime::ExecutionPlan>;
+
+/** Session-compiled (so keyed) adreno740 plan of a tiny zoo model. */
+PlanPtr
+keyedTinyPlan(core::CompileSession &session, const std::string &model,
+              int stage)
+{
+    core::CompileOptions o;
+    o.stage = stage;
+    PlanPtr plan =
+        session.compileGraph(models::buildTinyVariant(model, 1), o);
+    EXPECT_FALSE(plan->cacheKey.empty()) << model;
+    return plan;
+}
+
+exec::CpuBackendOptions
+backendOptions(int threads)
+{
+    exec::CpuBackendOptions o;
+    o.threads = threads;
+    o.seed = kSeed;
+    return o;
+}
+
+/** True when both output lists hold byte-identical tensors. */
+bool
+sameBytes(const std::vector<exec::Tensor> &a,
+          const std::vector<exec::Tensor> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (a[i].shape() != b[i].shape() ||
+            std::memcmp(a[i].data(), b[i].data(),
+                        static_cast<std::size_t>(a[i].numElements()) *
+                            sizeof(float)) != 0)
+            return false;
+    }
+    return true;
+}
+
+/** FNV-1a over the raw bytes of every output, one field per tensor. */
+std::string
+outputDigest(const std::vector<exec::Tensor> &outputs)
+{
+    Fnv1a f;
+    for (const exec::Tensor &t : outputs)
+        f.feed(std::string(reinterpret_cast<const char *>(t.data()),
+                           static_cast<std::size_t>(t.numElements()) *
+                               sizeof(float)));
+    return f.hex();
+}
 
 
 class ZooParity : public ::testing::TestWithParam<std::string>
@@ -160,22 +223,232 @@ TEST(CpuBackendDeterminism, ByteIdenticalAtAnyThreadCount)
 
 TEST(CpuBackendDeterminism, RepeatedRunsAreByteIdentical)
 {
-    auto dev = device::adreno740();
-    auto g = models::buildTinyVariant("Swin", 1);
-    auto plan = core::compileSmartMem(g, dev);
+    // A session-compiled plan is keyed, so the second run reuses the
+    // backend's prepared state.
+    core::CompileSession session(device::adreno740(), 1);
+    session.setPlanCacheDir("");
+    PlanPtr plan = keyedTinyPlan(session, "Swin", 3);
     exec::Executor ex(kSeed);
-    auto inputs = exec::makeSeededInputs(plan.graph, ex);
+    auto inputs = exec::makeSeededInputs(plan->graph, ex);
     exec::CpuBackendOptions o;
     o.seed = kSeed;
     exec::CpuBackend backend(o);
-    auto a = backend.run(plan, inputs);
-    auto b = backend.run(plan, inputs);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(0, std::memcmp(a[i].data(), b[i].data(),
-                                 static_cast<std::size_t>(
-                                     a[i].numElements()) *
-                                     sizeof(float)));
+    auto a = backend.run(*plan, inputs);
+    auto b = backend.run(*plan, inputs);
+    EXPECT_TRUE(sameBytes(a, b));
+}
+
+/**
+ * The standing byte-identity gate for executed outputs.
+ * tests/exec_digests.txt holds, per SIMD level, the FNV-1a digest of
+ * the cpu-blocked outputs of every tiny zoo model compiled by a
+ * session (so the plans are keyed) at stages 0 and 3 on adreno740,
+ * run on seeded inputs with 1 and 4 threads.  Each plan runs twice
+ * on one backend, so the second run goes through the backend's
+ * prepared-plan cache; both runs must give the recorded bytes.
+ * Every recorded level the host can execute is checked.  The digests
+ * were recorded with the default Release build under g++ 12; other
+ * build flags can change vector-kernel bits (a RelWithDebInfo build,
+ * -O2, gives other AVX2 digests for the ViT-class models, and did so
+ * before prepared plans too).  On a mismatch the actual manifest is
+ * written into the build
+ * tree; a change that alters outputs on purpose records it over the
+ * committed one and says why.
+ */
+TEST(CpuBackend, ZooOutputsMatchRecordedDigests)
+{
+    const std::string manifest =
+        std::string(SMARTMEM_SOURCE_DIR) + "/tests/exec_digests.txt";
+    std::map<std::string, std::string> expected; // level -> lines
+    {
+        std::ifstream in(manifest);
+        std::string line;
+        while (std::getline(in, line))
+            if (!line.empty() && line[0] != '#')
+                expected[line.substr(0, line.find(' '))] += line + "\n";
     }
+
+    core::CompileSession session(device::adreno740(), 1);
+    session.setPlanCacheDir("");
+    struct Case
+    {
+        std::string name;
+        PlanPtr plan;
+        std::map<ir::ValueId, exec::Tensor> inputs;
+    };
+    std::vector<Case> cases;
+    for (const std::string &model : models::evaluationModels()) {
+        for (int stage : {0, 3}) {
+            PlanPtr plan = keyedTinyPlan(session, model, stage);
+            auto inputs = exec::makeSeededInputs(plan->graph,
+                                                 exec::Executor(kSeed));
+            cases.push_back({model + " stage" + std::to_string(stage),
+                             plan, std::move(inputs)});
+        }
+    }
+
+    std::vector<exec::SimdLevel> levels;
+    for (exec::SimdLevel lv : exec::availableSimdLevels())
+        if (expected.count(exec::simdLevelName(lv)))
+            levels.push_back(lv);
+    const bool anyRecorded = !levels.empty();
+    if (!anyRecorded) // record every level the host has
+        levels = exec::availableSimdLevels();
+
+    std::string actual =
+        "# <simd level> <model> <stage> <threads> <fnv1a64 of the "
+        "outputs>, checked by CpuBackend.ZooOutputsMatchRecordedDigests\n";
+    bool same = true;
+    for (exec::SimdLevel lv : levels) {
+        const std::string level = exec::simdLevelName(lv);
+        SimdEnvGuard guard(level.c_str());
+        std::string lines;
+        for (int threads : {1, 4}) {
+            const exec::CpuBackend backend(backendOptions(threads));
+            for (const Case &c : cases) {
+                const std::string first =
+                    outputDigest(backend.run(*c.plan, c.inputs));
+                const std::string second =
+                    outputDigest(backend.run(*c.plan, c.inputs));
+                lines += level + " " + c.name + " threads" +
+                         std::to_string(threads) + " " + first +
+                         (second == first ? "" : " second-run " + second) +
+                         "\n";
+            }
+        }
+        actual += lines;
+        same = same && lines == expected[level];
+    }
+    if (anyRecorded && same)
+        return;
+    const std::string written =
+        std::string(SMARTMEM_BINARY_DIR) + "/exec_digests.actual.txt";
+    std::ofstream(written) << actual;
+    if (!anyRecorded)
+        ADD_FAILURE() << "no SIMD level recorded in " << manifest
+                      << " is available on this host; wrote "
+                      << written;
+    else
+        ADD_FAILURE() << "executed outputs differ from the recorded "
+                      << "digests: diff " << manifest << " " << written;
+}
+
+// ---------------------------------------------------------------------
+// Prepared-plan cache contract: a keyed plan is prepared once per
+// backend and reused, and a reused preparation must never change what
+// a run computes.
+// ---------------------------------------------------------------------
+
+TEST(CpuBackendCache, InterleavedKeyedPlansMatchFreshBackends)
+{
+    core::CompileSession session(device::adreno740(), 1);
+    session.setPlanCacheDir("");
+    const PlanPtr plans[2] = {keyedTinyPlan(session, "Swin", 0),
+                              keyedTinyPlan(session, "Swin", 3)};
+    ASSERT_NE(plans[0]->cacheKey, plans[1]->cacheKey);
+    auto inputs =
+        exec::makeSeededInputs(plans[0]->graph, exec::Executor(kSeed));
+
+    std::vector<exec::Tensor> fresh[2];
+    for (int p = 0; p < 2; ++p)
+        fresh[p] = exec::CpuBackend(backendOptions(1)).run(*plans[p],
+                                                            inputs);
+    const exec::CpuBackend shared(backendOptions(1));
+    for (int p : {0, 1, 0, 1})
+        EXPECT_TRUE(sameBytes(shared.run(*plans[p], inputs), fresh[p]))
+            << "stage " << (p == 0 ? 0 : 3);
+}
+
+TEST(CpuBackendCache, SimdLevelIsReadOnEveryRun)
+{
+    core::CompileSession session(device::adreno740(), 1);
+    session.setPlanCacheDir("");
+    PlanPtr plan = keyedTinyPlan(session, "Swin", 3);
+    auto inputs =
+        exec::makeSeededInputs(plan->graph, exec::Executor(kSeed));
+    const exec::SimdLevel best = exec::availableSimdLevels().back();
+
+    std::map<exec::SimdLevel, std::vector<exec::Tensor>> fresh;
+    for (exec::SimdLevel lv : {exec::SimdLevel::Scalar, best}) {
+        SimdEnvGuard guard(exec::simdLevelName(lv));
+        fresh[lv] = exec::CpuBackend(backendOptions(1)).run(*plan, inputs);
+    }
+    const exec::CpuBackend shared(backendOptions(1));
+    for (exec::SimdLevel lv : {exec::SimdLevel::Scalar, best,
+                               exec::SimdLevel::Scalar, best}) {
+        SimdEnvGuard guard(exec::simdLevelName(lv));
+        exec::CpuBackendStats stats;
+        auto got = shared.run(*plan, inputs, &stats);
+        EXPECT_EQ(stats.simdLevel, lv);
+        EXPECT_TRUE(sameBytes(got, fresh[lv])) << exec::simdLevelName(lv);
+    }
+}
+
+TEST(CpuBackendCache, ConcurrentRunsOnASharedBackendMatchSerial)
+{
+    core::CompileSession session(device::adreno740(), 1);
+    session.setPlanCacheDir("");
+    const PlanPtr plans[2] = {keyedTinyPlan(session, "Swin", 3),
+                              keyedTinyPlan(session, "ResNext", 3)};
+    std::map<ir::ValueId, exec::Tensor> inputs[2];
+    std::vector<exec::Tensor> serial[2];
+    for (int p = 0; p < 2; ++p) {
+        inputs[p] = exec::makeSeededInputs(plans[p]->graph,
+                                           exec::Executor(kSeed));
+        serial[p] = exec::CpuBackend(backendOptions(1)).run(*plans[p],
+                                                             inputs[p]);
+    }
+
+    // Every caller starts on a cold cache entry, so the threads race
+    // to prepare both plans as well as to run them.
+    const exec::CpuBackend shared(backendOptions(1));
+    constexpr int kCallers = 4;
+    constexpr int kRunsPerCaller = 3;
+    std::vector<std::vector<std::vector<exec::Tensor>>> got(kCallers);
+    std::vector<std::thread> callers;
+    for (int t = 0; t < kCallers; ++t) {
+        callers.emplace_back([&, t] {
+            for (int r = 0; r < kRunsPerCaller; ++r) {
+                const int p = (t + r) % 2;
+                got[static_cast<std::size_t>(t)].push_back(
+                    shared.run(*plans[p], inputs[p]));
+            }
+        });
+    }
+    for (std::thread &c : callers)
+        c.join();
+    for (int t = 0; t < kCallers; ++t)
+        for (int r = 0; r < kRunsPerCaller; ++r)
+            EXPECT_TRUE(sameBytes(
+                got[static_cast<std::size_t>(t)]
+                   [static_cast<std::size_t>(r)],
+                serial[(t + r) % 2]))
+                << "caller " << t << " run " << r;
+}
+
+TEST(CpuBackendCache, UnkeyedPlansArePreparedOnEveryRun)
+{
+    auto dev = device::adreno740();
+    auto g = models::buildTinyVariant("Swin", 1);
+    const auto plan0 = core::compileStage(g, dev, 0);
+    const auto plan3 = core::compileStage(g, dev, 3);
+    ASSERT_TRUE(plan0.cacheKey.empty());
+    ASSERT_NE(plan0.operatorCount(), plan3.operatorCount());
+    auto inputs = exec::makeSeededInputs(plan0.graph, exec::Executor(kSeed));
+    const auto want = exec::CpuBackend(backendOptions(1)).run(plan3, inputs);
+
+    // Same plan object, new kernels: nothing of the first preparation
+    // may survive into the second run.
+    runtime::ExecutionPlan plan = plan0;
+    const exec::CpuBackend backend(backendOptions(1));
+    exec::CpuBackendStats stats;
+    backend.run(plan, inputs, &stats);
+    EXPECT_EQ(stats.kernelsExecuted, plan0.operatorCount());
+    plan.graph = plan3.graph;
+    plan.kernels = plan3.kernels;
+    auto got = backend.run(plan, inputs, &stats);
+    EXPECT_EQ(stats.kernelsExecuted, plan3.operatorCount());
+    EXPECT_TRUE(sameBytes(got, want));
 }
 
 TEST(CpuBackendStats, CountersDescribeThePlan)
@@ -277,9 +550,16 @@ TEST(CpuBackendSeeds, SeedMismatchChangesOutputs)
     a.seed = kSeed;
     exec::CpuBackendOptions b;
     b.seed = kSeed + 1;
-    auto ra = exec::CpuBackend(a).run(plan, inputs);
+    const exec::CpuBackend backendA(a);
+    auto ra = backendA.run(plan, inputs);
     auto rb = exec::CpuBackend(b).run(plan, inputs);
     EXPECT_GT(exec::maxAbsDiff(ra[0], rb[0]), 0.0f);
+
+    // A prepared plan carries its seed's constants: it runs as the
+    // plan does on its own backend and is refused under another seed.
+    const auto prepared = backendA.prepare(plan);
+    EXPECT_TRUE(sameBytes(backendA.run(*prepared, inputs), ra));
+    EXPECT_THROW(exec::CpuBackend(b).run(*prepared, inputs), FatalError);
 }
 
 } // namespace

@@ -36,6 +36,7 @@
 #include "models/models.h"
 #include "runtime/memory_pool.h"
 #include "support/error.h"
+#include "simd_env_guard.h"
 
 namespace smartmem {
 namespace {
@@ -45,34 +46,6 @@ using exec::TileParams;
 
 constexpr std::uint64_t kSeed = 4242;
 constexpr float kTolerance = 1e-4f;
-
-/** Scoped SMARTMEM_SIMD override, restoring the prior value. */
-class SimdEnvGuard
-{
-  public:
-    explicit SimdEnvGuard(const char *level)
-    {
-        if (const char *old = std::getenv("SMARTMEM_SIMD")) {
-            had_ = true;
-            old_ = old;
-        }
-        if (level)
-            setenv("SMARTMEM_SIMD", level, 1);
-        else
-            unsetenv("SMARTMEM_SIMD");
-    }
-    ~SimdEnvGuard()
-    {
-        if (had_)
-            setenv("SMARTMEM_SIMD", old_.c_str(), 1);
-        else
-            unsetenv("SMARTMEM_SIMD");
-    }
-
-  private:
-    bool had_ = false;
-    std::string old_;
-};
 
 // -------------------------------------------------------------------
 // Dispatch

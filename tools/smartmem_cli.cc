@@ -32,7 +32,8 @@
  *       Compile a zoo model and EXECUTE it with real float math on
  *       the selected backend ("cpu-blocked" by default, "reference"
  *       for the naive scalar executor), reporting wall time,
- *       throughput, and the memory pool high-water mark.  --verify
+ *       throughput, and the intermediate-buffer pool high-water
+ *       mark (constants excluded).  --verify
  *       additionally cross-checks the outputs against the reference
  *       executor (1e-4 relative tolerance) and exits non-zero on a
  *       mismatch.
@@ -619,7 +620,7 @@ cmdRun(int argc, char **argv)
                 static_cast<long long>(tiles.kBlock));
     const exec::CpuBackendStats st = be->lastRunStats();
     if (st.poolHighWaterBytes > 0) {
-        std::printf("  pool high-water %s\n",
+        std::printf("  intermediate pool high-water %s\n",
                     formatBytes(static_cast<std::uint64_t>(
                         st.poolHighWaterBytes)).c_str());
     }
