@@ -25,7 +25,10 @@
  *   --assert-coalesce-gain
  *                    exit non-zero unless coalescing-on achieved
  *                    strictly more requests/s than off at the highest
- *                    offered level
+ *                    offered level, and that level saturated the off
+ *                    arm (it rejected requests or served < 0.95x the
+ *                    offered rate) -- otherwise the comparison says
+ *                    nothing about capacity
  *
  * Models are served from a registry that carries tiny:<name> variants
  * of the evaluation zoo (milliseconds per request on CI runners) plus
@@ -512,7 +515,18 @@ main(int argc, char **argv)
                     report::banner("saturation comparison").c_str(),
                     cmp.render().c_str());
             json.add("saturation comparison", cmp);
-            if (on.achieved <= off.achieved) {
+            // Coalescing wins capacity, so the comparison means
+            // something only where the off arm ran out of it.
+            const bool saturated =
+                off.rejected > 0 || off.achieved < 0.95 * off.offered;
+            if (!saturated) {
+                std::fprintf(stderr,
+                             "COALESCE GAIN FAILURE: load does not "
+                             "saturate: off served %.1f of %.0f req/s "
+                             "with 0 rejected; raise --qps\n",
+                             off.achieved, off.offered);
+                ++violations;
+            } else if (on.achieved <= off.achieved) {
                 std::fprintf(stderr,
                              "COALESCE GAIN FAILURE: on %.1f req/s "
                              "<= off %.1f req/s at %.0f offered\n",

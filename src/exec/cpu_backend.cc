@@ -1,9 +1,12 @@
 #include "exec/cpu_backend.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "exec/executor.h"
@@ -390,11 +393,136 @@ struct StoredBuf
     const Layout *layout = nullptr;
 };
 
-} // namespace
+// -------------------------------------------------------------------
+// Interned constants: one 64-byte-aligned copy of each distinct
+// constant, shared by every preparation of a backend that reads it
+// -------------------------------------------------------------------
+
+/** A constant's row-major floats in one 64-byte-aligned block (the
+ *  BufferPool alignment), zero-padded to a whole number of lines. */
+class ConstantBlock
+{
+  public:
+    explicit ConstantBlock(const Tensor &t) : elems_(t.numElements())
+    {
+        constexpr std::size_t kAlign = runtime::BufferPool::kAlignment;
+        const std::size_t used =
+            static_cast<std::size_t>(elems_) * sizeof(float);
+        bytes_ = std::max(kAlign, (used + kAlign - 1) / kAlign * kAlign);
+        data_ = static_cast<float *>(std::aligned_alloc(kAlign, bytes_));
+        SM_REQUIRE(data_ != nullptr, "constant store: out of memory");
+        std::memcpy(data_, t.data(), used);
+        std::memset(reinterpret_cast<char *>(data_) + used, 0,
+                    bytes_ - used);
+    }
+    ~ConstantBlock() { std::free(data_); }
+    ConstantBlock(const ConstantBlock &) = delete;
+    ConstantBlock &operator=(const ConstantBlock &) = delete;
+
+    const float *data() const { return data_; }
+    std::size_t bytes() const { return bytes_; }
+
+    /** Whether this block holds exactly `t`'s floats, bit for bit. */
+    bool holds(const Tensor &t) const
+    {
+        return elems_ == t.numElements() &&
+               std::memcmp(data_, t.data(),
+                           static_cast<std::size_t>(elems_) *
+                               sizeof(float)) == 0;
+    }
+
+  private:
+    std::int64_t elems_;
+    std::size_t bytes_ = 0;
+    float *data_ = nullptr;
+};
+
+/** FNV-1a over the 64-bit words of a tensor's floats, seeded with
+ *  the byte count.  Four interleaved lanes keep four multiplies in
+ *  flight (4x faster than one chain); the tail words go to lane 0. */
+std::uint64_t
+contentHash(const Tensor &t)
+{
+    constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+    constexpr std::size_t kWord = sizeof(std::uint64_t);
+    const auto *p = reinterpret_cast<const unsigned char *>(t.data());
+    const std::size_t n =
+        static_cast<std::size_t>(t.numElements()) * sizeof(float);
+    std::uint64_t lane[4] = {0xcbf29ce484222325ULL ^ n, 1, 2, 3};
+    std::size_t i = 0;
+    for (; i + 4 * kWord <= n; i += 4 * kWord) {
+        for (std::size_t l = 0; l < 4; ++l) {
+            std::uint64_t w = 0;
+            std::memcpy(&w, p + i + l * kWord, kWord);
+            lane[l] = (lane[l] ^ w) * kPrime;
+        }
+    }
+    for (; i < n; i += kWord) {
+        std::uint64_t w = 0;
+        std::memcpy(&w, p + i, std::min(kWord, n - i));
+        lane[0] = (lane[0] ^ w) * kPrime;
+    }
+    std::uint64_t h = lane[0];
+    for (std::size_t l = 1; l < 4; ++l)
+        h = (h ^ lane[l]) * kPrime;
+    return h;
+}
+
+/**
+ * Constants by content.  A lookup hashes the floats and confirms a
+ * candidate with memcmp, so only bit-identical constants share a
+ * block, whatever rule produced them.  Entries are weak: a block lives
+ * while a preparation holds it, and expired entries are swept whenever
+ * the map has doubled since the last sweep, so a backend that prepares
+ * unkeyed plans forever stays bounded.
+ */
+class ConstantStore
+{
+  public:
+    /** The resident block holding `t`'s bytes, added if none is. */
+    std::shared_ptr<const ConstantBlock> intern(const Tensor &t)
+    {
+        const std::uint64_t h = contentHash(t);
+        std::lock_guard<std::mutex> lock(mu_);
+        auto [first, last] = entries_.equal_range(h);
+        for (auto it = first; it != last; ++it)
+            if (auto block = it->second.lock(); block && block->holds(t))
+                return block;
+        if (entries_.size() >= 2 * swept_) {
+            for (auto it = entries_.begin(); it != entries_.end();)
+                it = it->second.expired() ? entries_.erase(it)
+                                          : std::next(it);
+            swept_ = std::max<std::size_t>(entries_.size(), 64);
+        }
+        auto block = std::make_shared<const ConstantBlock>(t);
+        entries_.emplace(h, block);
+        return block;
+    }
+
+    /** Bytes of the blocks some preparation still holds. */
+    std::int64_t residentBytes() const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        std::int64_t bytes = 0;
+        for (const auto &[h, entry] : entries_)
+            if (auto block = entry.lock())
+                bytes += static_cast<std::int64_t>(block->bytes());
+        return bytes;
+    }
+
+  private:
+    mutable std::mutex mu_;
+    std::unordered_multimap<std::uint64_t,
+                            std::weak_ptr<const ConstantBlock>>
+        entries_;
+    std::size_t swept_ = 64; ///< entries_.size() after the last sweep
+};
 
 // -------------------------------------------------------------------
 // PreparedPlan: everything a run needs that depends only on the plan
-// and the seed
+// and the seed.  It keeps no copy of the plan: a run reads the kernels
+// and the graph from the plan it is given, which the cacheKey contract
+// makes interchangeable with the one prepared.
 // -------------------------------------------------------------------
 
 class PreparedPlan
@@ -428,10 +556,13 @@ class PreparedPlan
         std::vector<std::size_t> release;
     };
 
-    PreparedPlan(const ExecutionPlan &plan, std::uint64_t seed);
+    PreparedPlan(const ExecutionPlan &plan, std::uint64_t seed,
+                 ConstantStore &store);
 
-    const ExecutionPlan plan;
-    const std::uint64_t seed;
+    /** Raise FatalError unless `plan` has the kernel and value counts
+     *  of the plan this was prepared from. */
+    void checkMatches(const ExecutionPlan &plan) const;
+
     std::vector<PreparedKernel> kernels; ///< aligned with plan.kernels
     std::vector<Source> outputs;         ///< per graph output
 
@@ -442,34 +573,28 @@ class PreparedPlan
      *  row-major input. */
     std::map<ir::NodeId, LoweredRead> transforms;
 
-    /** Row-major contents of every constant a kernel reads, by value
-     *  id (null elsewhere), resident for the plan's lifetime -- the
-     *  paper's weights stay in memory. */
-    std::vector<const float *> constants;
+    /** Interned row-major contents of every constant a kernel reads,
+     *  by value id (null elsewhere), resident for the preparation's
+     *  lifetime -- the paper's weights stay in memory. */
+    std::vector<std::shared_ptr<const ConstantBlock>> constants;
 
   private:
-    runtime::BufferPool constantStorage_;
+    std::size_t valueCount_;
 };
 
-PreparedPlan::PreparedPlan(const ExecutionPlan &p, std::uint64_t s)
-    : plan(p), seed(s)
+PreparedPlan::PreparedPlan(const ExecutionPlan &plan, std::uint64_t seed,
+                           ConstantStore &store)
+    : valueCount_(plan.graph.values().size())
 {
     const ir::Graph &g = plan.graph;
     const std::size_t nk = plan.kernels.size();
     const Executor synth(seed);
 
-    constants.assign(g.values().size(), nullptr);
+    constants.resize(valueCount_);
     auto addConstant = [&](ValueId v) {
-        const auto vi = static_cast<std::size_t>(v);
-        if (constants[vi] ||
-            g.node(g.value(v).producer).kind != OpKind::Constant)
-            return;
-        Tensor t = synth.synthesizeConstant(g, v);
-        float *buf = constantStorage_.allocateFloats(t.numElements());
-        std::memcpy(buf, t.data(),
-                    static_cast<std::size_t>(t.numElements()) *
-                        sizeof(float));
-        constants[vi] = buf;
+        auto &c = constants[static_cast<std::size_t>(v)];
+        if (!c && g.node(g.value(v).producer).kind == OpKind::Constant)
+            c = store.intern(synth.synthesizeConstant(g, v));
     };
 
     std::map<std::pair<ValueId, int>, std::size_t> slotOf;
@@ -547,7 +672,7 @@ PreparedPlan::PreparedPlan(const ExecutionPlan &p, std::uint64_t s)
             kernels[at].release.push_back(slot);
     }
 
-    consumers.resize(g.values().size());
+    consumers.resize(valueCount_);
     for (const Node &n : g.nodes()) {
         for (auto it = n.inputs.begin(); it != n.inputs.end(); ++it)
             if (std::find(n.inputs.begin(), it, *it) == it)
@@ -555,7 +680,18 @@ PreparedPlan::PreparedPlan(const ExecutionPlan &p, std::uint64_t s)
     }
 }
 
-namespace {
+void
+PreparedPlan::checkMatches(const ExecutionPlan &plan) const
+{
+    SM_REQUIRE(plan.kernels.size() == kernels.size() &&
+                   plan.graph.values().size() == valueCount_,
+               "plan '" + plan.cacheKey + "' has " +
+                   std::to_string(plan.kernels.size()) + " kernels and " +
+                   std::to_string(plan.graph.values().size()) +
+                   " values, its preparation " +
+                   std::to_string(kernels.size()) + " and " +
+                   std::to_string(valueCount_));
+}
 
 // -------------------------------------------------------------------
 // PlanRunner: one run of a prepared plan
@@ -564,12 +700,12 @@ namespace {
 class PlanRunner
 {
   public:
-    PlanRunner(const PreparedPlan &prep,
+    PlanRunner(const PreparedPlan &prep, const ExecutionPlan &plan,
                const std::map<ValueId, Tensor> &inputs,
                const CpuBackendOptions &opts)
-        : prep_(prep), plan_(prep.plan), graph_(prep.plan.graph),
-          inputs_(inputs), par_(opts.threads), simd_(activeSimdLevel()),
-          stored_(prep.plan.kernels.size())
+        : prep_(prep), plan_(plan), graph_(plan.graph), inputs_(inputs),
+          par_(opts.threads), simd_(activeSimdLevel()),
+          stored_(plan.kernels.size())
     {
         if (opts.gemmRowTile > 0)
             tiles_.rowTile = opts.gemmRowTile;
@@ -665,9 +801,9 @@ PlanRunner::boundaryData(ValueId v)
         return in->second.data();
     }
     if (producer.kind == OpKind::Constant) {
-        const float *c = prep_.constants[static_cast<std::size_t>(v)];
+        const auto &c = prep_.constants[static_cast<std::size_t>(v)];
         SM_ASSERT(c, "constant " + std::to_string(v) + " not prepared");
-        return c;
+        return c->data();
     }
     smPanic("value " + std::to_string(v) +
             " read before it was produced");
@@ -1348,8 +1484,9 @@ PlanRunner::run(CpuBackendStats *stats_out)
 
 struct CpuBackend::Cache
 {
-    std::mutex mu;
+    std::mutex mu; ///< guards plans
     std::map<std::string, std::shared_ptr<const PreparedPlan>> plans;
+    ConstantStore constants;
 };
 
 CpuBackend::CpuBackend(CpuBackendOptions options)
@@ -1357,21 +1494,13 @@ CpuBackend::CpuBackend(CpuBackendOptions options)
 {
 }
 
-std::shared_ptr<const PreparedPlan>
-CpuBackend::prepare(const ExecutionPlan &plan) const
-{
-    return std::make_shared<const PreparedPlan>(plan, options_.seed);
-}
-
 std::vector<Tensor>
 CpuBackend::run(const ExecutionPlan &plan,
                 const std::map<ValueId, Tensor> &inputs,
                 CpuBackendStats *stats) const
 {
-    if (plan.cacheKey.empty())
-        return run(*prepare(plan), inputs, stats);
     std::shared_ptr<const PreparedPlan> prepared;
-    {
+    if (!plan.cacheKey.empty()) {
         std::lock_guard<std::mutex> lock(cache_->mu);
         auto it = cache_->plans.find(plan.cacheKey);
         if (it != cache_->plans.end())
@@ -1380,25 +1509,23 @@ CpuBackend::run(const ExecutionPlan &plan,
     if (!prepared) {
         // Prepared outside the lock; when callers race on one key,
         // each prepares an identical plan and the first insert wins.
-        auto fresh = prepare(plan);
-        std::lock_guard<std::mutex> lock(cache_->mu);
-        prepared = cache_->plans.emplace(plan.cacheKey, std::move(fresh))
-                       .first->second;
+        prepared = std::make_shared<const PreparedPlan>(
+            plan, options_.seed, cache_->constants);
+        if (!plan.cacheKey.empty()) {
+            std::lock_guard<std::mutex> lock(cache_->mu);
+            prepared = cache_->plans.emplace(plan.cacheKey, prepared)
+                           .first->second;
+        }
     }
-    return run(*prepared, inputs, stats);
+    prepared->checkMatches(plan);
+    PlanRunner runner(*prepared, plan, inputs, options_);
+    return runner.run(stats);
 }
 
-std::vector<Tensor>
-CpuBackend::run(const PreparedPlan &prepared,
-                const std::map<ValueId, Tensor> &inputs,
-                CpuBackendStats *stats) const
+std::int64_t
+CpuBackend::residentConstantBytes() const
 {
-    SM_REQUIRE(prepared.seed == options_.seed,
-               "plan was prepared with constant seed " +
-                   std::to_string(prepared.seed) + ", backend uses " +
-                   std::to_string(options_.seed));
-    PlanRunner runner(prepared, inputs, options_);
-    return runner.run(stats);
+    return cache_->constants.residentBytes();
 }
 
 } // namespace smartmem::exec

@@ -21,12 +21,21 @@
  *    output tiles by a ParallelRunner whose support::ThreadPool is
  *    built for each run.
  *
- * Execution is split in two.  prepare() does the per-plan work once:
- * it synthesizes the constants and lowers every read map and
+ * Execution is split in two.  A private preparation does the per-plan
+ * work once: it resolves the constants and lowers every read map and
  * surviving transformation to offset tables over its source's
- * physical layout.  run() then does only per-input work.  A plan with
- * a non-empty cacheKey is prepared on its first run and reused by
- * every later run of an equal key (docs/EXECUTION.md).
+ * physical layout.  It keeps only those tables, never a copy of the
+ * plan: each run reads the kernels and the graph from the plan it is
+ * given.  run() then does only per-input work.  A plan with a
+ * non-empty cacheKey is prepared on its first run and reused by every
+ * later run of an equal key (docs/EXECUTION.md).
+ *
+ * Constants are interned per backend: each distinct constant (equal
+ * bytes, found by a content hash and confirmed by memcmp) is stored
+ * once, 64-byte aligned, and shared by every preparation that reads
+ * it, so the batch-k plans of one model hold one copy of its weights.
+ * The store holds its entries weakly: a constant is freed with the
+ * last preparation that reads it (residentConstantBytes()).
  *
  * Results are byte-identical at every thread count (static work
  * partitioning; each output element is produced by exactly one task
@@ -89,7 +98,7 @@ struct CpuBackendStats
     /** High-water mark of the run's BufferPool: intermediates and
      *  kernel scratch, the realized counterpart of
      *  runtime::simulateMemory()'s peakIntermediateBytes.  Constants
-     *  live in the prepared plan and are not counted. */
+     *  live in the backend's constant store and are not counted. */
     std::int64_t poolHighWaterBytes = 0;
 
     /** BufferPool allocations served by reuse. */
@@ -120,29 +129,11 @@ struct CpuBackendStats
     std::int64_t tileKBlock = 0;
 };
 
-/**
- * A plan lowered for repeated execution by CpuBackend::prepare(): its
- * own copy of the plan, the synthesized constants, the buffer slot and
- * stored layout of every (value, copy), the release schedule from
- * runtime::lastUses(), a value -> consumers index, and a lowered read
- * for every substituted kernel input and surviving transformation.
- * Immutable once built, so any number of runs may share it.
- */
-class PreparedPlan;
-
 /** Plan-consuming blocked CPU executor (see file header). */
 class CpuBackend
 {
   public:
     explicit CpuBackend(CpuBackendOptions options = CpuBackendOptions());
-
-    /**
-     * Lower `plan` once for any number of run(prepared, ...) calls.
-     * Constants are synthesized with options().seed, so the result
-     * runs only on backends with the same seed.
-     */
-    std::shared_ptr<const PreparedPlan>
-    prepare(const runtime::ExecutionPlan &plan) const;
 
     /**
      * Execute the plan on the given model inputs (keyed by input value
@@ -152,26 +143,29 @@ class CpuBackend
      * A plan with a non-empty cacheKey is prepared on its first run
      * and the preparation is reused by every later run of an equal key
      * on this backend or a copy of it: equal non-empty keys promise
-     * interchangeable plans (runtime::ExecutionPlan::cacheKey).  An
-     * unkeyed plan is prepared on every call.  The SIMD level, the
-     * thread pool and the intermediate buffers are per run either way.
-     * Safe to call concurrently.
+     * interchangeable plans (runtime::ExecutionPlan::cacheKey).  A
+     * reused preparation is checked against the plan: a different
+     * kernel or value count raises FatalError.  An unkeyed plan is
+     * prepared on every call.  The SIMD level, the thread pool and the
+     * intermediate buffers are per run either way.  Safe to call
+     * concurrently.
      */
     std::vector<Tensor>
     run(const runtime::ExecutionPlan &plan,
         const std::map<ir::ValueId, Tensor> &inputs,
         CpuBackendStats *stats = nullptr) const;
 
-    /** Execute a prepared plan; same contract as run(plan, ...). */
-    std::vector<Tensor>
-    run(const PreparedPlan &prepared,
-        const std::map<ir::ValueId, Tensor> &inputs,
-        CpuBackendStats *stats = nullptr) const;
+    /** Bytes of interned constants currently held by this backend's
+     *  preparations (64-byte-rounded allocations, each distinct
+     *  constant counted once).  0 once no preparation is alive, e.g.
+     *  after runs of unkeyed plans only. */
+    std::int64_t residentConstantBytes() const;
 
     const CpuBackendOptions &options() const { return options_; }
 
   private:
-    /** Prepared keyed plans, shared by copies of this backend. */
+    /** Prepared keyed plans and the interned constants, shared by
+     *  copies of this backend. */
     struct Cache;
 
     CpuBackendOptions options_;

@@ -1,5 +1,7 @@
 #include "runtime/plan_executor.h"
 
+#include <mutex>
+
 #include "runtime/functional_runner.h"
 #include "support/error.h"
 #include "support/strings.h"
@@ -33,17 +35,23 @@ class ReferenceExecutor final : public PlanExecutor
     std::uint64_t seed_;
 };
 
+exec::CpuBackendOptions
+cpuBackendOptions(const ExecutorOptions &opts)
+{
+    exec::CpuBackendOptions o;
+    o.threads = opts.threads;
+    o.seed = opts.seed;
+    o.gemmRowTile = opts.gemmRowTile;
+    o.gemmKBlock = opts.gemmKBlock;
+    return o;
+}
+
 class CpuBlockedExecutor final : public PlanExecutor
 {
   public:
     explicit CpuBlockedExecutor(const ExecutorOptions &opts)
+        : backend_(cpuBackendOptions(opts))
     {
-        exec::CpuBackendOptions o;
-        o.threads = opts.threads;
-        o.seed = opts.seed;
-        o.gemmRowTile = opts.gemmRowTile;
-        o.gemmKBlock = opts.gemmKBlock;
-        backend_ = exec::CpuBackend(o);
     }
 
     const std::string &name() const override
@@ -56,13 +64,22 @@ class CpuBlockedExecutor final : public PlanExecutor
     run(const ExecutionPlan &plan,
         const std::map<ir::ValueId, exec::Tensor> &inputs) override
     {
-        return backend_.run(plan, inputs, &stats_);
+        exec::CpuBackendStats stats;
+        auto outputs = backend_.run(plan, inputs, &stats);
+        std::lock_guard<std::mutex> lock(mu_);
+        stats_ = stats;
+        return outputs;
     }
 
-    exec::CpuBackendStats lastRunStats() const override { return stats_; }
+    exec::CpuBackendStats lastRunStats() const override
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return stats_;
+    }
 
   private:
-    exec::CpuBackend backend_{exec::CpuBackendOptions{}};
+    const exec::CpuBackend backend_;
+    mutable std::mutex mu_; ///< guards stats_
     exec::CpuBackendStats stats_;
 };
 

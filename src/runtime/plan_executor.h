@@ -50,7 +50,13 @@ struct ExecutorOptions
     std::int64_t gemmKBlock = 0;
 };
 
-/** A plan execution engine. */
+/**
+ * A plan execution engine.  run() is safe to call concurrently from
+ * any number of threads on one executor: the reference backend is
+ * stateless, and cpu-blocked shares one exec::CpuBackend, whose
+ * prepared-plan cache and constant store are mutex-guarded, so one
+ * executor can serve many workers and prepare each keyed plan once.
+ */
 class PlanExecutor
 {
   public:
@@ -60,12 +66,13 @@ class PlanExecutor
     virtual const std::string &name() const = 0;
 
     /** Execute the plan; returns graph outputs in declaration order,
-     *  row-major. */
+     *  row-major.  Thread-safe (see the class comment). */
     virtual std::vector<exec::Tensor>
     run(const ExecutionPlan &plan,
         const std::map<ir::ValueId, exec::Tensor> &inputs) = 0;
 
-    /** Counters of the most recent run(); zeroed for backends that
+    /** Counters of the most recently *completed* run(), whole and
+     *  never mixed across concurrent runs; zeroed for backends that
      *  keep none (reference). */
     virtual exec::CpuBackendStats lastRunStats() const { return {}; }
 };

@@ -6,7 +6,6 @@
 
 #include "device/device_registry.h"
 #include "exec/kernels_blocked.h"
-#include "runtime/plan_executor.h"
 #include "support/error.h"
 
 namespace smartmem::serve {
@@ -94,6 +93,9 @@ InferenceServer::InferenceServer(ServerOptions options)
     : options_(std::move(options)),
       queue_(options_.queueCapacity)
 {
+    // Fail on an unknown backend here, before any compile, with the
+    // catalog-listing FatalError makeExecutor raises.
+    runtime::makeExecutor(options_.backend);
     options_.workers = std::max(options_.workers, 1);
     options_.maxBatch = std::max(options_.maxBatch, 1);
     if (options_.autoStart)
@@ -162,6 +164,27 @@ InferenceServer::sessionFor(const std::string &deviceFp)
         it = sessions_
                  .emplace(deviceFp, std::make_unique<core::CompileSession>(
                                         dev->second, 1))
+                 .first;
+    }
+    return *it->second;
+}
+
+runtime::PlanExecutor &
+InferenceServer::executorFor(const std::string &deviceFp)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = executors_.find(deviceFp);
+    if (it == executors_.end()) {
+        runtime::ExecutorOptions eo;
+        eo.threads = options_.executorThreads;
+        eo.seed = options_.seed;
+        const exec::TileParams tiles =
+            exec::resolveTileParams(devicesByFp_.at(deviceFp));
+        eo.gemmRowTile = tiles.rowTile;
+        eo.gemmKBlock = tiles.kBlock;
+        it = executors_
+                 .emplace(deviceFp,
+                          runtime::makeExecutor(options_.backend, eo))
                  .first;
     }
     return *it->second;
@@ -324,35 +347,15 @@ InferenceServer::inputsFor(const InferenceRequest &request,
 void
 InferenceServer::executeSingles(std::vector<QueuedRequest> &batch,
                                 const runtime::ExecutionPlan &plan1,
-                                const device::DeviceProfile &dev)
+                                runtime::PlanExecutor &executor)
 {
     const std::string &model = batch.front().request.model;
-    std::unique_ptr<runtime::PlanExecutor> executor;
-    try {
-        runtime::ExecutorOptions eo;
-        eo.threads = options_.executorThreads;
-        eo.seed = options_.seed;
-        const exec::TileParams tiles = exec::resolveTileParams(dev);
-        eo.gemmRowTile = tiles.rowTile;
-        eo.gemmKBlock = tiles.kBlock;
-        executor = runtime::makeExecutor(options_.backend, eo);
-    } catch (const std::exception &e) {
-        for (QueuedRequest &q : batch) {
-            stats_.onFailed(model);
-            InferenceResponse r;
-            r.status = ResponseStatus::Failed;
-            r.error = e.what();
-            r.totalMs = msSince(q.enqueueTime);
-            respond(q, std::move(r));
-        }
-        return;
-    }
     for (QueuedRequest &q : batch) {
         try {
             auto inputs = inputsFor(q.request, plan1.graph);
             const double queueMs = msSince(q.enqueueTime);
             const auto execStart = std::chrono::steady_clock::now();
-            auto outputs = executor->run(plan1, inputs);
+            auto outputs = executor.run(plan1, inputs);
             InferenceResponse r;
             r.status = ResponseStatus::Ok;
             r.batchSize = 1;
@@ -403,11 +406,8 @@ InferenceServer::execute(std::vector<QueuedRequest> batch)
         core::CompileSession &session =
             sessionFor(key.deviceFingerprint);
         const models::GraphSource &source = sourceFor(model);
-        device::DeviceProfile dev;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            dev = devicesByFp_.at(key.deviceFingerprint);
-        }
+        runtime::PlanExecutor &executor =
+            executorFor(key.deviceFingerprint);
 
         core::CompileOptions o1;
         o1.batch = 1;
@@ -457,7 +457,7 @@ InferenceServer::execute(std::vector<QueuedRequest> batch)
         }
 
         if (!plank) {
-            executeSingles(batch, plan1, dev);
+            executeSingles(batch, plan1, executor);
             return;
         }
 
@@ -491,7 +491,7 @@ InferenceServer::execute(std::vector<QueuedRequest> batch)
                 if (valid[b])
                     rest.push_back(std::move(batch[b]));
             if (!rest.empty())
-                executeSingles(rest, plan1, dev);
+                executeSingles(rest, plan1, executor);
             return;
         }
 
@@ -515,21 +515,13 @@ InferenceServer::execute(std::vector<QueuedRequest> batch)
             stacked[idsk[j]] = std::move(t);
         }
 
-        runtime::ExecutorOptions eo;
-        eo.threads = options_.executorThreads;
-        eo.seed = options_.seed;
-        const exec::TileParams tiles = exec::resolveTileParams(dev);
-        eo.gemmRowTile = tiles.rowTile;
-        eo.gemmKBlock = tiles.kBlock;
-        auto executor = runtime::makeExecutor(options_.backend, eo);
-
         std::vector<double> queueMs;
         queueMs.reserve(batch.size());
         for (const QueuedRequest &q : batch)
             queueMs.push_back(msSince(q.enqueueTime));
         const auto execStart = std::chrono::steady_clock::now();
         std::vector<exec::Tensor> outputs =
-            executor->run(*plank, stacked);
+            executor.run(*plank, stacked);
         const double execMs = msSince(execStart);
         stats_.onBatchExecuted(model, k);
 

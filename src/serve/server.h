@@ -15,23 +15,31 @@
  *                                  (per device, batch-k re-planning)
  *                                               │
  *                                               ▼
- *                                  runtime::makeExecutor backend
+ *                                  one runtime::PlanExecutor per
+ *                                  device, shared by the workers
+ *                                  (each batch-k plan prepared once)
  *
- * submit() never blocks: it validates routing against the existing
- * registries (unknown names answer Failed with the catalog-listing
- * FatalError message), then either admits the request or answers
- * Rejected when the bounded queue is full (backpressure) -- every
- * request gets exactly one typed response, never a silent drop.
+ * The constructor checks the backend name: an unknown one raises the
+ * catalog-listing FatalError runtime::makeExecutor raises, before any
+ * compile.  submit() never blocks: it validates routing against the
+ * existing registries (unknown names answer Failed with the
+ * catalog-listing FatalError message), then either admits the request
+ * or answers Rejected when the bounded queue is full (backpressure) --
+ * every request gets exactly one typed response, never a silent drop.
  *
  * Workers coalesce same-key requests up to maxBatch / batchDeadlineMs
  * (see AdmissionQueue), compile a batch-k plan through the per-device
  * CompileSession -- so re-planning per coalesced batch size is a plan
  * cache hit after the first occurrence, and concurrent first
  * occurrences are single-flight -- stack the requests' inputs along
- * the batch dimension, execute once, and slice the outputs back into
- * per-request responses.  Sources that cannot rebuild at batch k
- * (fixed-batch `.smgraph` files) or whose shapes do not stack fall
- * back to per-request batch-1 execution of the same group.
+ * the batch dimension, execute once on the device's shared executor,
+ * and slice the outputs back into per-request responses.  The shared
+ * executor keeps its preparations for the life of the server, so each
+ * keyed batch-k plan is prepared (constants resolved, reads lowered)
+ * once per server, and the batch sizes of one model share its
+ * weights.  Sources that cannot rebuild at batch k (fixed-batch
+ * `.smgraph` files) or whose shapes do not stack fall back to
+ * per-request batch-1 execution of the same group.
  */
 #ifndef SMARTMEM_SERVE_SERVER_H
 #define SMARTMEM_SERVE_SERVER_H
@@ -47,6 +55,7 @@
 #include "core/compiler_registry.h"
 #include "device/device_profile.h"
 #include "models/model_registry.h"
+#include "runtime/plan_executor.h"
 #include "serve/batcher.h"
 #include "serve/request.h"
 #include "serve/serve_stats.h"
@@ -109,6 +118,8 @@ struct ServerOptions
 class InferenceServer
 {
   public:
+    /** Throws FatalError, listing the registered backends, when
+     *  options.backend names none. */
     explicit InferenceServer(ServerOptions options = ServerOptions());
 
     /** Equivalent to shutdown(true): drains admitted requests. */
@@ -163,11 +174,15 @@ class InferenceServer
 
     core::CompileSession &sessionFor(const std::string &deviceFp);
 
+    /** The device's shared executor, created on first use with the
+     *  device's GEMM tiles. */
+    runtime::PlanExecutor &executorFor(const std::string &deviceFp);
+
     void workerLoop();
     void execute(std::vector<QueuedRequest> batch);
     void executeSingles(std::vector<QueuedRequest> &batch,
                         const runtime::ExecutionPlan &plan1,
-                        const device::DeviceProfile &dev);
+                        runtime::PlanExecutor &executor);
 
     /** Per-request input map against the batch-1 graph: explicit
      *  tensors validated against the declared inputs, or synthesized
@@ -192,6 +207,10 @@ class InferenceServer
     /** Device fingerprint -> lazily created compile session. */
     std::map<std::string, std::unique_ptr<core::CompileSession>>
         sessions_;
+    /** Device fingerprint -> lazily created executor, shared by every
+     *  worker for the life of the server. */
+    std::map<std::string, std::unique_ptr<runtime::PlanExecutor>>
+        executors_;
     /** "@<path>" -> loaded graph source. */
     std::map<std::string, std::unique_ptr<models::FileGraphSource>>
         graphFiles_;

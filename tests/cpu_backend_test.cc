@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <thread>
+#include <tuple>
 
 #include "core/compile_session.h"
 #include "core/smartmem_compiler.h"
@@ -43,12 +44,12 @@ using PlanPtr = std::shared_ptr<const runtime::ExecutionPlan>;
 /** Session-compiled (so keyed) adreno740 plan of a tiny zoo model. */
 PlanPtr
 keyedTinyPlan(core::CompileSession &session, const std::string &model,
-              int stage)
+              int stage, int batch = 1)
 {
     core::CompileOptions o;
     o.stage = stage;
     PlanPtr plan =
-        session.compileGraph(models::buildTinyVariant(model, 1), o);
+        session.compileGraph(models::buildTinyVariant(model, batch), o);
     EXPECT_FALSE(plan->cacheKey.empty()) << model;
     return plan;
 }
@@ -77,6 +78,18 @@ sameBytes(const std::vector<exec::Tensor> &a,
             return false;
     }
     return true;
+}
+
+/** Every counter of a run, for whole-struct comparison. */
+auto
+statsFields(const exec::CpuBackendStats &s)
+{
+    return std::make_tuple(
+        s.kernelsExecuted, s.relayoutKernels, s.fusedEpilogueOps,
+        s.substitutesMaterialized, s.bytesRelayouted,
+        s.poolHighWaterBytes, s.poolReuses, s.nativeLayoutViews,
+        s.nativeLayoutStores, s.fusedAttentionKernels,
+        s.scoreBytesAvoided, s.simdLevel, s.tileRowTile, s.tileKBlock);
 }
 
 /** FNV-1a over the raw bytes of every output, one field per tensor. */
@@ -426,6 +439,50 @@ TEST(CpuBackendCache, ConcurrentRunsOnASharedBackendMatchSerial)
                 << "caller " << t << " run " << r;
 }
 
+TEST(CpuBackendCache, BatchSizesOfOneModelShareWeights)
+{
+    core::CompileSession session(device::adreno740(), 1);
+    session.setPlanCacheDir("");
+    std::vector<PlanPtr> swin;
+    for (int batch = 1; batch <= 4; ++batch)
+        swin.push_back(keyedTinyPlan(session, "Swin", 3, batch));
+    const PlanPtr resnext = keyedTinyPlan(session, "ResNext", 3);
+
+    const exec::CpuBackend shared(backendOptions(1));
+    auto runMatchesFresh = [&](const PlanPtr &plan) {
+        auto inputs =
+            exec::makeSeededInputs(plan->graph, exec::Executor(kSeed));
+        EXPECT_TRUE(sameBytes(
+            shared.run(*plan, inputs),
+            exec::CpuBackend(backendOptions(1)).run(*plan, inputs)))
+            << plan->cacheKey;
+    };
+    EXPECT_EQ(shared.residentConstantBytes(), 0);
+    runMatchesFresh(swin[0]);
+    const std::int64_t swinBytes = shared.residentConstantBytes();
+    EXPECT_GT(swinBytes, 0);
+
+    // The batch-k plans read the batch-1 weights: interleaved runs of
+    // every size add no constant bytes, and another model does.
+    for (int b : {2, 0, 3, 1, 2})
+        runMatchesFresh(swin[static_cast<std::size_t>(b)]);
+    EXPECT_EQ(shared.residentConstantBytes(), swinBytes);
+    runMatchesFresh(resnext);
+    EXPECT_GT(shared.residentConstantBytes(), swinBytes);
+
+    // An unkeyed preparation lives for one run, and so do the
+    // constants only it reads.
+    const auto unkeyed = core::compileStage(
+        models::buildTinyVariant("Swin", 1), device::adreno740(), 3);
+    ASSERT_TRUE(unkeyed.cacheKey.empty());
+    auto inputs =
+        exec::makeSeededInputs(unkeyed.graph, exec::Executor(kSeed));
+    const exec::CpuBackend backend(backendOptions(1));
+    for (int r = 0; r < 2; ++r)
+        backend.run(unkeyed, inputs);
+    EXPECT_EQ(backend.residentConstantBytes(), 0);
+}
+
 TEST(CpuBackendCache, UnkeyedPlansArePreparedOnEveryRun)
 {
     auto dev = device::adreno740();
@@ -449,6 +506,23 @@ TEST(CpuBackendCache, UnkeyedPlansArePreparedOnEveryRun)
     auto got = backend.run(plan, inputs, &stats);
     EXPECT_EQ(stats.kernelsExecuted, plan3.operatorCount());
     EXPECT_TRUE(sameBytes(got, want));
+}
+
+TEST(CpuBackendCache, ReusedKeyWithOtherCountsIsRefused)
+{
+    // A preparation keeps no plan of its own, so a plan that breaks
+    // the cacheKey promise must be caught, not run against its
+    // predecessor's tables.
+    auto dev = device::adreno740();
+    auto g = models::buildTinyVariant("Swin", 1);
+    runtime::ExecutionPlan first = core::compileStage(g, dev, 0);
+    runtime::ExecutionPlan other = core::compileStage(g, dev, 3);
+    ASSERT_NE(first.operatorCount(), other.operatorCount());
+    first.cacheKey = other.cacheKey = "same-key";
+    auto inputs = exec::makeSeededInputs(first.graph, exec::Executor(kSeed));
+    const exec::CpuBackend backend(backendOptions(1));
+    backend.run(first, inputs);
+    EXPECT_THROW(backend.run(other, inputs), FatalError);
 }
 
 TEST(CpuBackendStats, CountersDescribeThePlan)
@@ -535,6 +609,57 @@ TEST(PlanExecutorRegistry, BackendsAgreeThroughTheFacade)
     EXPECT_GT(blocked->lastRunStats().poolHighWaterBytes, 0);
 }
 
+TEST(PlanExecutorShared, ConcurrentRunsMatchSerial)
+{
+    // One executor serves every worker of an InferenceServer: runs
+    // from several threads must compute what serial runs do, and
+    // lastRunStats() must hold one whole run's counters.
+    core::CompileSession session(device::adreno740(), 1);
+    session.setPlanCacheDir("");
+    const PlanPtr plans[2] = {keyedTinyPlan(session, "Swin", 3, 1),
+                              keyedTinyPlan(session, "ViT", 3, 2)};
+    runtime::ExecutorOptions o;
+    o.threads = 1;
+    o.seed = kSeed;
+    std::map<ir::ValueId, exec::Tensor> inputs[2];
+    std::vector<exec::Tensor> serial[2];
+    exec::CpuBackendStats serialStats[2];
+    for (int p = 0; p < 2; ++p) {
+        inputs[p] = exec::makeSeededInputs(plans[p]->graph,
+                                           exec::Executor(kSeed));
+        auto fresh = runtime::makeExecutor("cpu-blocked", o);
+        serial[p] = fresh->run(*plans[p], inputs[p]);
+        serialStats[p] = fresh->lastRunStats();
+    }
+
+    auto shared = runtime::makeExecutor("cpu-blocked", o);
+    constexpr int kCallers = 4;
+    constexpr int kRunsPerCaller = 4;
+    std::vector<std::vector<std::vector<exec::Tensor>>> got(kCallers);
+    std::vector<std::thread> callers;
+    for (int t = 0; t < kCallers; ++t) {
+        callers.emplace_back([&, t] {
+            for (int r = 0; r < kRunsPerCaller; ++r) {
+                const int p = (t + r) % 2;
+                got[static_cast<std::size_t>(t)].push_back(
+                    shared->run(*plans[p], inputs[p]));
+            }
+        });
+    }
+    for (std::thread &c : callers)
+        c.join();
+    for (int t = 0; t < kCallers; ++t)
+        for (int r = 0; r < kRunsPerCaller; ++r)
+            EXPECT_TRUE(sameBytes(
+                got[static_cast<std::size_t>(t)]
+                   [static_cast<std::size_t>(r)],
+                serial[(t + r) % 2]))
+                << "caller " << t << " run " << r;
+    const auto last = statsFields(shared->lastRunStats());
+    EXPECT_TRUE(last == statsFields(serialStats[0]) ||
+                last == statsFields(serialStats[1]));
+}
+
 TEST(CpuBackendSeeds, SeedMismatchChangesOutputs)
 {
     // Constants are synthesized from the seed; two different seeds
@@ -554,12 +679,6 @@ TEST(CpuBackendSeeds, SeedMismatchChangesOutputs)
     auto ra = backendA.run(plan, inputs);
     auto rb = exec::CpuBackend(b).run(plan, inputs);
     EXPECT_GT(exec::maxAbsDiff(ra[0], rb[0]), 0.0f);
-
-    // A prepared plan carries its seed's constants: it runs as the
-    // plan does on its own backend and is refused under another seed.
-    const auto prepared = backendA.prepare(plan);
-    EXPECT_TRUE(sameBytes(backendA.run(*prepared, inputs), ra));
-    EXPECT_THROW(exec::CpuBackend(b).run(*prepared, inputs), FatalError);
 }
 
 } // namespace

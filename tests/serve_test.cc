@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -25,6 +26,7 @@
 #include "runtime/plan_executor.h"
 #include "serialize/graph_text.h"
 #include "serve/server.h"
+#include "support/error.h"
 
 namespace smartmem::serve {
 namespace {
@@ -253,6 +255,42 @@ TEST(ServeParity, CoalescedBatchMatchesDirectExecution)
     EXPECT_EQ(server.stats().global.coalesced, 4);
 }
 
+TEST(ServeParity, SharedExecutorServesByteIdenticalOutputs)
+{
+    // Both workers run every batch on the device's one executor and
+    // its prepared plans: each response must equal a direct execution
+    // bit for bit.
+    ServerOptions o = baseOptions();
+    o.autoStart = false;
+    o.coalesce = false;
+    InferenceServer server(o);
+    std::vector<std::pair<std::string, std::uint64_t>> sent;
+    std::vector<std::future<InferenceResponse>> futures;
+    for (const char *model : {"tiny:Swin", "tiny:ViT", "tiny:ResNext"}) {
+        for (std::uint64_t salt = 0; salt < 4; ++salt) {
+            sent.emplace_back(model, salt);
+            futures.push_back(server.submit(tinyRequest(model, salt)));
+        }
+    }
+    server.start();
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+        const auto &[model, salt] = sent[i];
+        InferenceResponse r = futures[i].get();
+        ASSERT_EQ(r.status, ResponseStatus::Ok) << r.error;
+        auto ref = directOutputs(tinyRegistry().find(model), salt, o);
+        ASSERT_EQ(r.outputs.size(), ref.size());
+        for (std::size_t j = 0; j < ref.size(); ++j) {
+            ASSERT_EQ(r.outputs[j].shape(), ref[j].shape());
+            EXPECT_EQ(std::memcmp(r.outputs[j].data(), ref[j].data(),
+                                  static_cast<std::size_t>(
+                                      ref[j].numElements()) *
+                                      sizeof(float)),
+                      0)
+                << model << " salt " << salt << " output " << j;
+        }
+    }
+}
+
 TEST(ServeRouting, UnknownNamesFailWithCatalog)
 {
     ServerOptions o = baseOptions();
@@ -287,6 +325,22 @@ TEST(ServeRouting, UnknownNamesFailWithCatalog)
     auto st = server.stats();
     EXPECT_EQ(st.global.failed, 4);
     EXPECT_EQ(st.global.served, 1);
+}
+
+TEST(ServeRouting, UnknownBackendFailsAtConstruction)
+{
+    // Before any request is compiled, with the executor catalog.
+    ServerOptions o = baseOptions();
+    o.backend = "nosuch";
+    try {
+        InferenceServer server(o);
+        ADD_FAILURE() << "server constructed on an unknown backend";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "registered: reference, cpu-blocked"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(ServeRouting, GraphFileRequestsFallBackToSingles)

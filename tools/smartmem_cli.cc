@@ -95,6 +95,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include <fstream>
@@ -1054,7 +1055,13 @@ cmdServe(int argc, char **argv)
     device::DeviceProfile dev = resolveDevice(deviceName, deviceFile);
     so.extraDevices = {dev};
     so.defaultDevice = dev.name;
-    serve::InferenceServer server(std::move(so));
+    std::unique_ptr<serve::InferenceServer> server;
+    try {
+        server = std::make_unique<serve::InferenceServer>(std::move(so));
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+    }
 
     // Submit everything up front (same-model bursts coalesce), then
     // collect in submission order.
@@ -1065,7 +1072,7 @@ cmdServe(int argc, char **argv)
             serve::InferenceRequest r = rl.request;
             r.inputSalt += static_cast<std::uint64_t>(c);
             names.push_back(r.model);
-            futures.push_back(server.submit(std::move(r)));
+            futures.push_back(server->submit(std::move(r)));
         }
     }
 
@@ -1084,9 +1091,9 @@ cmdServe(int argc, char **argv)
                         r.error.c_str());
         }
     }
-    server.shutdown(true);
+    server->shutdown(true);
 
-    auto st = server.stats();
+    auto st = server->stats();
     std::printf("%s", report::banner("serving stats").c_str());
     report::Table global({"submitted", "served", "rejected", "failed",
                           "coalesced", "batches", "mean batch",
