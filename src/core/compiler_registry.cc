@@ -13,11 +13,12 @@
 namespace smartmem::core {
 
 CompilerResult
-Compiler::compileSource(CompileSession &session,
-                        const models::GraphSource &source,
-                        const CompileOptions &options) const
+Compiler::compile(CompileSession &session, const std::string &model,
+                  const CompileOptions &options) const
 {
-    return compile(session, source.name(), options);
+    return compileSource(session,
+                         models::ModelRegistry::builtins().find(model),
+                         options);
 }
 
 namespace {
@@ -32,13 +33,6 @@ class SmartMemCompiler : public Compiler
     {
         return "SmartMem full pipeline (LTE + layout selection + "
                "2.5D texture mapping + tuner)";
-    }
-
-    CompilerResult compile(CompileSession &session,
-                           const std::string &model,
-                           const CompileOptions &options) const override
-    {
-        return {true, "", session.compileModel(model, options)};
     }
 
     CompilerResult
@@ -68,15 +62,6 @@ class StageCompiler : public Compiler
     {
         return "Figure 8 stage " + std::to_string(stage_) + ": " +
                label_;
-    }
-
-    CompilerResult compile(CompileSession &session,
-                           const std::string &model,
-                           const CompileOptions &options) const override
-    {
-        CompileOptions staged = options;
-        staged.stage = stage_;
-        return {true, "", session.compileModel(model, staged)};
     }
 
     CompilerResult
@@ -112,15 +97,6 @@ class BaselineCompiler : public Compiler
     std::string description() const override { return description_; }
 
     bool usesPlanCache() const override { return false; }
-
-    CompilerResult compile(CompileSession &session,
-                           const std::string &model,
-                           const CompileOptions &options) const override
-    {
-        return compileSource(
-            session, models::ModelRegistry::builtins().find(model),
-            options);
-    }
 
     CompilerResult
     compileSource(CompileSession &session,

@@ -64,15 +64,15 @@ class Compiler
     virtual bool usesPlanCache() const { return true; }
 
     /**
-     * Compile one zoo model for `session.device()`.  `options.batch`
+     * Compile one zoo model for `session.device()`: compileSource()
+     * on its models::ModelRegistry::builtins() entry.  `options.batch`
      * selects the model variant; the smartmem family honors the rest
      * of the options and compiles through the session's plan caches
      * (staged compilers override `options.stage` with their preset).
      */
-    virtual CompilerResult compile(CompileSession &session,
-                                   const std::string &model,
-                                   const CompileOptions &options) const
-        = 0;
+    CompilerResult compile(CompileSession &session,
+                           const std::string &model,
+                           const CompileOptions &options) const;
 
     /**
      * Compile a graph from any GraphSource -- a zoo registry entry or
@@ -80,14 +80,11 @@ class Compiler
      * smartmem family flows through session.compileSource(), so
      * identical graphs share cache entries regardless of where they
      * came from; baselines build the graph and compile it directly.
-     * The base default forwards to compile() with the source's name,
-     * which only resolves for registry-named sources -- every
-     * built-in overrides it.
      */
     virtual CompilerResult
     compileSource(CompileSession &session,
                   const models::GraphSource &source,
-                  const CompileOptions &options) const;
+                  const CompileOptions &options) const = 0;
 };
 
 /** Name-keyed catalog of compilers (see file header). */

@@ -15,6 +15,10 @@
 
 namespace smartmem::core {
 
+using cost::bandwidth;
+using cost::findConsumer;
+using cost::lineUtilization;
+using cost::writeStride;
 using ir::Layout;
 using ir::MemSpace;
 using ir::Shape;
@@ -43,58 +47,6 @@ kernelHasIld(const ir::Graph &g, const Kernel &k)
     return false;
 }
 
-/** First fused node consuming a substitute, with operand index. */
-bool
-findConsumerNode(const ir::Graph &g, const Kernel &k, ir::ValueId value,
-                 const ir::Node **node, int *idx)
-{
-    for (ir::NodeId nid : k.fusedNodes) {
-        const ir::Node &n = g.node(nid);
-        for (std::size_t i = 0; i < n.inputs.size(); ++i) {
-            if (n.inputs[i] == value) {
-                *node = &n;
-                *idx = static_cast<int>(i);
-                return true;
-            }
-        }
-    }
-    return false;
-}
-
-double
-lineUtil(std::int64_t stride, std::int64_t elem_bytes,
-         std::int64_t line_bytes)
-{
-    if (stride <= 1)
-        return 1.0;
-    std::int64_t per_line = std::max<std::int64_t>(
-        line_bytes / elem_bytes, 1);
-    return 1.0 / static_cast<double>(std::min(stride, per_line));
-}
-
-double
-bw(const device::DeviceProfile &dev, MemSpace space)
-{
-    if (space == MemSpace::Texture && dev.hasTexture)
-        return dev.textureBwBytesPerSec;
-    return dev.globalBwBytesPerSec;
-}
-
-/** Physical write stride of the innermost logical dim under a layout. */
-std::int64_t
-writeStride(const Shape &shape, const Layout &layout)
-{
-    if (shape.rank() == 0 || shape.dim(shape.rank() - 1) <= 1)
-        return 1;
-    std::vector<std::int64_t> c0(
-        static_cast<std::size_t>(shape.rank()), 0);
-    std::vector<std::int64_t> c1 = c0;
-    c1.back() = 1;
-    return std::max<std::int64_t>(
-        std::llabs(ir::physicalOffset(c1, shape, layout) -
-                   ir::physicalOffset(c0, shape, layout)), 1);
-}
-
 /** Read stride of `in` (with hypothetical layout) for its consumer. */
 std::int64_t
 consumerReadStride(const ir::Graph &g, const Kernel &consumer,
@@ -102,7 +54,7 @@ consumerReadStride(const ir::Graph &g, const Kernel &consumer,
 {
     const ir::Node *node = nullptr;
     int idx = 0;
-    if (!findConsumerNode(g, consumer, in.substitute, &node, &idx))
+    if (!findConsumer(g, consumer, in.substitute, &node, &idx))
         return 1;
     KernelInput probe = in;
     probe.layout = layout;
@@ -186,7 +138,7 @@ fixedRequiredLayout(LayoutStrategy strategy, const ir::Graph &g,
     const int rank = src.rank();
     const ir::Node *node = nullptr;
     int idx = 0;
-    if (!findConsumerNode(g, k, in.substitute, &node, &idx))
+    if (!findConsumer(g, k, in.substitute, &node, &idx))
         return std::nullopt;
     const bool conv_input = ir::isConv(node->kind) && idx == 0;
     const bool transformer_ild =
@@ -564,11 +516,11 @@ assignSmart(ExecutionPlan &plan, const device::DeviceProfile &dev,
                         continue;
                     std::int64_t relems =
                         g.value(in.substitute).shape.numElements();
-                    double bad = lineUtil(best_stride, seb, line);
-                    double good = lineUtil(s_alt, seb, line);
+                    double bad = lineUtilization(best_stride, seb, line);
+                    double good = lineUtilization(s_alt, seb, line);
                     double saving = static_cast<double>(relems * seb) *
                                     (1.0 / bad - 1.0 / good) /
-                                    bw(dev, in.layout.space());
+                                    bandwidth(dev, in.layout.space());
                     // Strided ILD reads also cost compute efficiency.
                     for (ir::NodeId nid : k.fusedNodes) {
                         saving += static_cast<double>(
@@ -579,7 +531,7 @@ assignSmart(ExecutionPlan &plan, const device::DeviceProfile &dev,
                         dev.kernelLaunchSec +
                         2.5 * static_cast<double>(
                                   src_shape.numElements() * seb) /
-                            bw(dev, alt.space());
+                            bandwidth(dev, alt.space());
                     if (saving < 1.5 * copy_cost)
                         continue;
                     int idx = st.emitCopy(out, in.source, in.sourceCopy,
@@ -627,21 +579,21 @@ assignSmart(ExecutionPlan &plan, const device::DeviceProfile &dev,
                 double total = 0;
                 // Write side (penalized mildly; see Section 3.2.2).
                 std::int64_t ws = writeStride(out_shape, cand);
-                double wutil = lineUtil(ws, eb, line);
+                double wutil = lineUtilization(ws, eb, line);
                 total += static_cast<double>(
                              out_shape.numElements() * eb) /
-                         (0.5 + 0.5 * wutil) / bw(dev, cand.space());
+                         (0.5 + 0.5 * wutil) / bandwidth(dev, cand.space());
                 // Read side per consumer.
                 for (const ConsumerRef &c : consumers) {
                     const Kernel &ck = plan.kernels[c.kernelIdx];
                     const KernelInput &cin = ck.inputs[c.inputIdx];
                     std::int64_t rs =
                         consumerReadStride(g, ck, cin, cand);
-                    double rutil = lineUtil(rs, eb, line);
+                    double rutil = lineUtilization(rs, eb, line);
                     std::int64_t relems =
                         g.value(cin.substitute).shape.numElements();
                     total += static_cast<double>(relems * eb) / rutil /
-                             bw(dev, cand.space());
+                             bandwidth(dev, cand.space());
                     std::int64_t cmacs = 0;
                     for (ir::NodeId nid : ck.fusedNodes)
                         cmacs += ir::nodeMacs(g, g.node(nid));
@@ -663,16 +615,16 @@ assignSmart(ExecutionPlan &plan, const device::DeviceProfile &dev,
                 }
                 return total;
             };
+            // A grain of 3 keeps fewer than 4 candidates serial.
             std::vector<double> costs(cands.size());
-            if (cands.size() >= 4) {
-                support::parallelFor(
-                    cands.size(), [&](std::size_t ci, int) {
-                        costs[ci] = scoreCandidate(cands[ci]);
-                    });
-            } else {
-                for (std::size_t ci = 0; ci < cands.size(); ++ci)
-                    costs[ci] = scoreCandidate(cands[ci]);
-            }
+            support::parallelFor(
+                static_cast<std::int64_t>(cands.size()), 3,
+                [&](std::int64_t c0, std::int64_t c1) {
+                    for (std::int64_t ci = c0; ci < c1; ++ci)
+                        costs[static_cast<std::size_t>(ci)] =
+                            scoreCandidate(
+                                cands[static_cast<std::size_t>(ci)]);
+                });
             double best_cost = -1;
             for (std::size_t ci = 0; ci < cands.size(); ++ci) {
                 if (best_cost < 0 || costs[ci] < best_cost) {
@@ -712,18 +664,18 @@ assignSmart(ExecutionPlan &plan, const device::DeviceProfile &dev,
                     continue;
                 std::int64_t relems =
                     g.value(cin.substitute).shape.numElements();
-                double bad_util = lineUtil(s, eb, line);
-                double good_util = lineUtil(s_alt, eb, line);
+                double bad_util = lineUtilization(s, eb, line);
+                double good_util = lineUtilization(s_alt, eb, line);
                 double saving = static_cast<double>(relems * eb) *
                                 (1.0 / bad_util - 1.0 / good_util) /
-                                bw(dev, chosen.space());
+                                bandwidth(dev, chosen.space());
                 // A planned copy is a tiled relayout: one read of the
                 // chosen layout plus one (penalized) scattered write.
                 double copy_cost =
                     dev.kernelLaunchSec +
                     2.5 * static_cast<double>(
                               out_shape.numElements() * eb) /
-                        bw(dev, chosen.space());
+                        bandwidth(dev, chosen.space());
                 if (saving < 1.5 * copy_cost)
                     break; // not worth materializing another layout
                 bool exists = false;
@@ -751,7 +703,7 @@ requestedSourceDim(const ir::Graph &graph, const Kernel &consumer,
     const Shape &src_shape = graph.value(input.source).shape;
     const ir::Node *node = nullptr;
     int idx = 0;
-    if (!findConsumerNode(graph, consumer, input.substitute, &node, &idx))
+    if (!findConsumer(graph, consumer, input.substitute, &node, &idx))
         return src_shape.rank() - 1;
     int pref = opclass::preferredContiguousDim(graph, *node, idx);
     if (pref < 0 || pref >= sub_shape.rank())

@@ -14,8 +14,6 @@ using runtime::ExecutionPlan;
 using runtime::Kernel;
 using runtime::KernelInput;
 
-namespace {
-
 double
 bandwidth(const device::DeviceProfile &dev, ir::MemSpace space)
 {
@@ -24,7 +22,6 @@ bandwidth(const device::DeviceProfile &dev, ir::MemSpace space)
     return dev.globalBwBytesPerSec;
 }
 
-/** Fraction of each fetched cache line that is useful at this stride. */
 double
 lineUtilization(std::int64_t stride_elems, std::int64_t elem_bytes,
                 std::int64_t line_bytes)
@@ -37,7 +34,6 @@ lineUtilization(std::int64_t stride_elems, std::int64_t elem_bytes,
         std::min(stride_elems, elems_per_line));
 }
 
-/** First fused node consuming `value`, with the operand position. */
 bool
 findConsumer(const ir::Graph &graph, const Kernel &kernel,
              ir::ValueId value, const ir::Node **node_out, int *idx_out)
@@ -54,6 +50,22 @@ findConsumer(const ir::Graph &graph, const Kernel &kernel,
     }
     return false;
 }
+
+std::int64_t
+writeStride(const ir::Shape &shape, const ir::Layout &layout)
+{
+    if (shape.rank() == 0 || shape.dim(shape.rank() - 1) <= 1)
+        return 1;
+    std::vector<std::int64_t> c0(
+        static_cast<std::size_t>(shape.rank()), 0);
+    std::vector<std::int64_t> c1 = c0;
+    c1.back() = 1;
+    return std::max<std::int64_t>(
+        std::llabs(ir::physicalOffset(c1, shape, layout) -
+                   ir::physicalOffset(c0, shape, layout)), 1);
+}
+
+namespace {
 
 /**
  * Read stride of a materializing relayout kernel: it iterates its
@@ -269,20 +281,9 @@ costKernel(const device::DeviceProfile &dev, const ExecutionPlan &plan,
         ir::Layout layout = kernel.outLayout;
         if (layout.rank() != out.shape.rank())
             layout = ir::Layout::rowMajor(out.shape.rank());
-        // Kernels iterate the output logically row-major; probe the
-        // physical stride of the innermost logical step.
-        std::int64_t stride = 1;
-        if (out.shape.rank() > 0 &&
-            out.shape.dim(out.shape.rank() - 1) > 1) {
-            std::vector<std::int64_t> c0(
-                static_cast<std::size_t>(out.shape.rank()), 0);
-            std::vector<std::int64_t> c1 = c0;
-            c1.back() = 1;
-            stride = std::max<std::int64_t>(
-                std::llabs(ir::physicalOffset(c1, out.shape, layout) -
-                           ir::physicalOffset(c0, out.shape, layout)), 1);
-        }
-        double util = lineUtilization(stride, eb, line);
+        // Kernels iterate the output logically row-major.
+        double util =
+            lineUtilization(writeStride(out.shape, layout), eb, line);
         // Sub-optimal writes cost much less than sub-optimal reads
         // (write combining); this asymmetry is the basis of the
         // Section 3.2.2 microbenchmark.

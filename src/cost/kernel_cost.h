@@ -108,6 +108,24 @@ std::int64_t probeReadStride(const ir::Graph &graph,
                              const runtime::KernelInput &in,
                              const ir::Node &node, int input_idx);
 
+/** Bandwidth of a memory space: texture on texture-capable devices,
+ *  global memory otherwise. */
+double bandwidth(const device::DeviceProfile &dev, ir::MemSpace space);
+
+/** Fraction of each fetched cache line that is useful at this stride. */
+double lineUtilization(std::int64_t stride_elems, std::int64_t elem_bytes,
+                       std::int64_t line_bytes);
+
+/** First fused node of `kernel` consuming `value`, with the operand
+ *  position; false when no fused node reads it. */
+bool findConsumer(const ir::Graph &graph, const runtime::Kernel &kernel,
+                  ir::ValueId value, const ir::Node **node_out,
+                  int *idx_out);
+
+/** Physical stride (in elements, >= 1) of one step along the
+ *  innermost logical dimension of `shape` stored in `layout`. */
+std::int64_t writeStride(const ir::Shape &shape, const ir::Layout &layout);
+
 } // namespace smartmem::cost
 
 #endif // SMARTMEM_COST_KERNEL_COST_H

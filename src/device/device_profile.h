@@ -6,7 +6,7 @@
  * Adreno 740, Snapdragon 835 / Adreno 540, Dimensity 700 / Mali-G57)
  * and one desktop GPU (Tesla V100).  We model each as a profile of
  * bandwidths, compute roof, cache geometry and capacity; the analytic
- * cost model (src/cost) and the cache simulator consume these numbers.
+ * cost model (src/cost) consumes these numbers.
  * Roofline constants for Adreno 740 match Figure 12 (global 55 GB/s,
  * texture 511 GB/s, peak 2.0 TMACs/s).  Beyond the paper's four
  * platforms the catalog carries extrapolated tiers (Apple-M2-class

@@ -14,6 +14,7 @@
 #include "index/index_map.h"
 #include "runtime/memory_pool.h"
 #include "support/error.h"
+#include "support/thread_pool.h"
 
 namespace smartmem::exec {
 
@@ -25,6 +26,7 @@ using ir::ValueId;
 using runtime::ExecutionPlan;
 using runtime::Kernel;
 using runtime::KernelInput;
+using support::parallelFor;
 
 namespace {
 
@@ -98,7 +100,7 @@ sharedRun(const std::int64_t *a, const std::int64_t *b, std::int64_t cols)
  */
 void
 relayoutCopy(const Shape &shape, const float *src, const Layout &srcL,
-             float *dst, const Layout &dstL, const ParallelRunner &par)
+             float *dst, const Layout &dstL)
 {
     const std::int64_t total = shape.numElements();
     if (total == 0)
@@ -115,8 +117,8 @@ relayoutCopy(const Shape &shape, const float *src, const Layout &srcL,
     const std::int64_t *sIn = st.back().data();
     const std::int64_t *dIn = dt.back().data();
     const std::int64_t run = sharedRun(sIn, dIn, cols);
-    par.run(total / cols, std::max<std::int64_t>(1, 4096 / cols),
-            [&](std::int64_t r0, std::int64_t r1) {
+    parallelFor(total / cols, std::max<std::int64_t>(1, 4096 / cols),
+                [&](std::int64_t r0, std::int64_t r1) {
         const auto n = static_cast<std::size_t>(outer);
         // coord: the row's outer coordinates; sPre[d] / dPre[d]: offset
         // of dims [0, d), so sPre[outer] is the row's source offset.
@@ -237,9 +239,11 @@ struct LoweredRead
 };
 
 /**
- * Evaluate `map` once per output element with the CompiledExprs
- * interpreter, exactly as a per-element gather would, and keep the
- * offsets in the smaller exact form (see LoweredRead).
+ * Evaluate `map` for every output element with index::evalExpr,
+ * exactly as a per-element gather would, and keep the offsets in the
+ * smaller exact form (see LoweredRead).  A source dimension whose
+ * expression does not read the innermost output coordinate is
+ * constant along a row, so it is evaluated once per row.
  */
 LoweredRead
 lowerRead(const index::IndexMap &map, const Layout &srcL,
@@ -248,8 +252,7 @@ lowerRead(const index::IndexMap &map, const Layout &srcL,
     const Shape &os = map.outputShape();
     const auto sstr = srcL.strides(srcShape);
     const int spack = srcL.packedDim();
-    const index::CompiledExprs exprs =
-        index::CompiledExprs::compile(map.exprs());
+    const std::vector<index::Expr> &exprs = map.exprs();
     const int in_rank = srcShape.rank();
     const int out_rank = os.rank();
     const std::int64_t n = os.numElements();
@@ -260,18 +263,31 @@ lowerRead(const index::IndexMap &map, const Layout &srcL,
     rd.cols = out_rank > 0 ? os.dim(out_rank - 1) : 1;
     const std::int64_t rows = n / rd.cols;
     std::vector<std::int64_t> coord(static_cast<std::size_t>(out_rank), 0);
-    std::vector<std::int64_t> stack(exprs.stackDepth());
+    std::vector<int> rowDims, elemDims;
+    for (int d = 0; d < in_rank; ++d) {
+        const bool readsInner =
+            out_rank > 0 &&
+            index::usedVars(exprs[static_cast<std::size_t>(d)])
+                .count(out_rank - 1) > 0;
+        (readsInner ? elemDims : rowDims).push_back(d);
+    }
+    auto contribution = [&](int d) {
+        const auto du = static_cast<std::size_t>(d);
+        return dimContribution(index::evalExpr(exprs[du], coord),
+                               sstr[du], d == spack);
+    };
     std::vector<std::int64_t> row(static_cast<std::size_t>(rd.cols));
     rd.rowBase.reserve(static_cast<std::size_t>(rows));
     for (std::int64_t r = 0; r < rows; ++r) {
+        std::int64_t rowOff = 0;
+        for (int d : rowDims)
+            rowOff += contribution(d);
         for (std::int64_t x = 0; x < rd.cols; ++x) {
             if (out_rank > 0)
                 coord.back() = x;
-            std::int64_t off = 0;
-            for (int d = 0; d < in_rank; ++d)
-                off += dimContribution(exprs.eval(d, coord, stack),
-                                       sstr[static_cast<std::size_t>(d)],
-                                       d == spack);
+            std::int64_t off = rowOff;
+            for (int d : elemDims)
+                off += contribution(d);
             row[static_cast<std::size_t>(x)] = off;
         }
         if (r == 0) {
@@ -310,13 +326,12 @@ lowerRead(const index::IndexMap &map, const Layout &srcL,
 /** dst[i] = src[offset(i)] over a lowered read.  Parallel over output
  *  ranges; a pure gather, so byte-identical at any thread count. */
 void
-gather(const LoweredRead &rd, const float *src, float *dst,
-       const ParallelRunner &par)
+gather(const LoweredRead &rd, const float *src, float *dst)
 {
     if (!rd.full.empty()) {
         const std::int64_t *off = rd.full.data();
-        par.run(static_cast<std::int64_t>(rd.full.size()), 1024,
-                [&](std::int64_t i0, std::int64_t i1) {
+        parallelFor(static_cast<std::int64_t>(rd.full.size()), 1024,
+                    [&](std::int64_t i0, std::int64_t i1) {
             for (std::int64_t i = i0; i < i1; ++i)
                 dst[i] = src[off[i]];
         });
@@ -324,9 +339,9 @@ gather(const LoweredRead &rd, const float *src, float *dst,
     }
     const std::int64_t cols = rd.cols;
     const std::int64_t *inner = rd.inner.data();
-    par.run(static_cast<std::int64_t>(rd.rowBase.size()),
-            std::max<std::int64_t>(1, 1024 / cols),
-            [&](std::int64_t r0, std::int64_t r1) {
+    parallelFor(static_cast<std::int64_t>(rd.rowBase.size()),
+                std::max<std::int64_t>(1, 1024 / cols),
+                [&](std::int64_t r0, std::int64_t r1) {
         for (std::int64_t r = r0; r < r1; ++r) {
             const float *s = src + rd.rowBase[static_cast<std::size_t>(r)];
             float *o = dst + r * cols;
@@ -704,7 +719,7 @@ class PlanRunner
                const std::map<ValueId, Tensor> &inputs,
                const CpuBackendOptions &opts)
         : prep_(prep), plan_(plan), graph_(plan.graph), inputs_(inputs),
-          par_(opts.threads), simd_(activeSimdLevel()),
+          simd_(activeSimdLevel()),
           stored_(plan.kernels.size())
     {
         if (opts.gemmRowTile > 0)
@@ -764,7 +779,6 @@ class PlanRunner
     const ExecutionPlan &plan_;
     const ir::Graph &graph_;
     const std::map<ValueId, Tensor> &inputs_;
-    ParallelRunner par_;
     SimdLevel simd_;
     TileParams tiles_;
     runtime::BufferPool pool_;
@@ -848,7 +862,7 @@ PlanRunner::resolveLocal(const Kernel &k, ValueId v)
                 src_data = resolveStored(src, in.source).data;
             }
             float *dst = alloc(shapeOf(v).numElements());
-            gather(*src.read, src_data, dst, par_);
+            gather(*src.read, src_data, dst);
             ++stats_.substitutesMaterialized;
             locals_[v] = {dst, true};
             return dst;
@@ -862,7 +876,7 @@ PlanRunner::resolveLocal(const Kernel &k, ValueId v)
         const Shape &shape = shapeOf(v);
         float *dst = alloc(shape.numElements());
         relayoutCopy(shape, s.data, *s.layout, dst,
-                     Layout::rowMajor(shape.rank()), par_);
+                     Layout::rowMajor(shape.rank()));
         stats_.bytesRelayouted +=
             shape.numElements() *
             static_cast<std::int64_t>(sizeof(float));
@@ -918,7 +932,7 @@ PlanRunner::runRelayoutKernel(std::size_t ki)
         resolveStored(prep_.kernels[ki].inputs[0], k.inputs[0].source);
     const Shape &shape = shapeOf(k.output);
     float *dst = alloc(k.outLayout.storageElements(shape));
-    relayoutCopy(shape, src.data, *src.layout, dst, k.outLayout, par_);
+    relayoutCopy(shape, src.data, *src.layout, dst, k.outLayout);
     stats_.bytesRelayouted +=
         shape.numElements() * static_cast<std::int64_t>(sizeof(float));
     ++stats_.relayoutKernels;
@@ -1038,7 +1052,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
             blockedDepthwiseConv2d(x, xl, w, out, ol, xs.dim(0),
                                    xs.dim(1), xs.dim(2), xs.dim(3),
                                    os.dim(2), os.dim(3), ws.dim(2),
-                                   ws.dim(3), stride, pad, par_);
+                                   ws.dim(3), stride, pad);
             if (bias) {
                 for (std::int64_t n = 0; n < os.dim(0); ++n) {
                     for (std::int64_t c = 0; c < os.dim(1); ++c) {
@@ -1056,8 +1070,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
             blockedConv2d(x, xl, w, out, ol, xs.dim(0), xs.dim(1),
                           xs.dim(2), xs.dim(3), os.dim(1), os.dim(2),
                           os.dim(3), ws.dim(2), ws.dim(3), stride, pad,
-                          groups, bias, biasLen, simd_, tiles_, par_,
-                          pool_);
+                          groups, bias, biasLen, simd_, tiles_, pool_);
         }
         locals_[node.output] = {out, true, nativeStore};
         return;
@@ -1146,7 +1159,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         }
 
         blockedMatMul(av, bv, cv, batch, m, n, kk, trans_b, simd_,
-                      tiles_, par_);
+                      tiles_);
         locals_[node.output] = {out, true, nativeStore};
         return;
       }
@@ -1168,14 +1181,13 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         if (node.kind == OpKind::LayerNorm) {
             const std::int64_t inner = os.dim(os.rank() - 1);
             blockedLayerNorm(x, scale, scaleLen, shift, shiftLen, out,
-                             os.numElements() / inner, inner, par_);
+                             os.numElements() / inner, inner);
         } else if (node.kind == OpKind::InstanceNorm) {
             blockedInstanceNorm(x, out, os.dim(0) * os.dim(1),
-                                os.dim(2) * os.dim(3), par_);
+                                os.dim(2) * os.dim(3));
         } else {
             blockedBatchNorm(x, scale, scaleLen, shift, shiftLen, out,
-                             os.dim(0), os.dim(1), os.dim(2) * os.dim(3),
-                             par_);
+                             os.dim(0), os.dim(1), os.dim(2) * os.dim(3));
         }
         locals_[node.output] = {out, true};
         return;
@@ -1187,7 +1199,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         if (axis < 0)
             axis += os.rank();
         float *out = alloc(os.numElements());
-        blockedSoftmax(x, out, os, axis, par_);
+        blockedSoftmax(x, out, os, axis);
         locals_[node.output] = {out, true};
         return;
       }
@@ -1215,7 +1227,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         if (k.streamingAttention) {
             blockedFusedAttention(q, kd, v, bias, bias_batched, scale,
                                   out, batch, n, dk, m, dv, simd_,
-                                  tiles_, par_);
+                                  tiles_);
             ++stats_.fusedAttentionKernels;
             stats_.scoreBytesAvoided +=
                 batch * n * m *
@@ -1228,22 +1240,22 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
             blockedMatMul({q, dk, 1, n * dk, nullptr},
                           {kd, dk, 1, m * dk, nullptr},
                           {score, m, 1, n * m, nullptr}, batch, n, m,
-                          dk, /*transB=*/true, simd_, tiles_, par_);
+                          dk, /*transB=*/true, simd_, tiles_);
             const std::int64_t nm = n * m;
-            par_.run(batch * nm, 4096,
-                     [&](std::int64_t e0, std::int64_t e1) {
-                         for (std::int64_t e = e0; e < e1; ++e) {
-                             float s = score[e] * scale;
-                             if (bias != nullptr)
-                                 s += bias[bias_batched ? e : e % nm];
-                             score[e] = s;
-                         }
-                     });
-            blockedSoftmax(score, score, Shape({batch, n, m}), 2, par_);
+            parallelFor(batch * nm, 4096,
+                        [&](std::int64_t e0, std::int64_t e1) {
+                            for (std::int64_t e = e0; e < e1; ++e) {
+                                float s = score[e] * scale;
+                                if (bias != nullptr)
+                                    s += bias[bias_batched ? e : e % nm];
+                                score[e] = s;
+                            }
+                        });
+            blockedSoftmax(score, score, Shape({batch, n, m}), 2);
             blockedMatMul({score, m, 1, nm, nullptr},
                           {v, dv, 1, m * dv, nullptr},
                           {out, dv, 1, n * dv, nullptr}, batch, n, dv,
-                          m, /*transB=*/false, simd_, tiles_, par_);
+                          m, /*transB=*/false, simd_, tiles_);
             pool_.release(score);
         }
         locals_[node.output] = {out, true};
@@ -1252,7 +1264,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
       case ir::OpCategory::Unary: {
         const float *x = resolveLocal(k, node.inputs[0]);
         float *out = alloc(os.numElements());
-        blockedUnary(node.kind, node, x, out, os.numElements(), par_);
+        blockedUnary(node.kind, node, x, out, os.numElements());
         locals_[node.output] = {out, true};
         return;
       }
@@ -1261,8 +1273,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         const float *b = resolveLocal(k, node.inputs[1]);
         float *out = alloc(os.numElements());
         blockedBinary(node.kind, a, b, out, os,
-                      shapeOf(node.inputs[0]), shapeOf(node.inputs[1]),
-                      par_);
+                      shapeOf(node.inputs[0]), shapeOf(node.inputs[1]));
         locals_[node.output] = {out, true};
         return;
       }
@@ -1273,7 +1284,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
             // (the same machinery eliminated chains use).
             const float *x = resolveLocal(k, node.inputs[0]);
             float *out = alloc(os.numElements());
-            gather(prep_.transforms.at(node.id), x, out, par_);
+            gather(prep_.transforms.at(node.id), x, out);
             locals_[node.output] = {out, true};
             return;
         }
@@ -1367,7 +1378,7 @@ PlanRunner::runComputeKernel(std::size_t ki)
             SM_ASSERT(buf.owned, "epilogue over a borrowed buffer");
             auto *data = const_cast<float *>(buf.data);
             const std::int64_t n = shapeOf(node.output).numElements();
-            par_.run(n, 4096, [&](std::int64_t e0, std::int64_t e1) {
+            parallelFor(n, 4096, [&](std::int64_t e0, std::int64_t e1) {
                 for (std::int64_t e = e0; e < e1; ++e) {
                     float v = data[e];
                     for (const EpilogueStep &s : steps) {
@@ -1425,7 +1436,7 @@ PlanRunner::publishOutput(std::size_t ki)
     }
     float *dst = alloc(k.outLayout.storageElements(shape));
     relayoutCopy(shape, it->second.data, Layout::rowMajor(shape.rank()),
-                 dst, k.outLayout, par_);
+                 dst, k.outLayout);
     if (!isRowMajorLayout(k.outLayout))
         stats_.bytesRelayouted +=
             shape.numElements() *
@@ -1466,7 +1477,7 @@ PlanRunner::run(CpuBackendStats *stats_out)
         const Shape &shape = shapeOf(id);
         Tensor t(shape);
         relayoutCopy(shape, s.data, *s.layout, t.data(),
-                     Layout::rowMajor(shape.rank()), par_);
+                     Layout::rowMajor(shape.rank()));
         out.push_back(std::move(t));
     }
 
@@ -1499,6 +1510,7 @@ CpuBackend::run(const ExecutionPlan &plan,
                 const std::map<ValueId, Tensor> &inputs,
                 CpuBackendStats *stats) const
 {
+    support::ThreadBudgetGuard budget(options_.threads);
     std::shared_ptr<const PreparedPlan> prepared;
     if (!plan.cacheKey.empty()) {
         std::lock_guard<std::mutex> lock(cache_->mu);

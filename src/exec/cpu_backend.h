@@ -18,8 +18,8 @@
  *    one copy per eliminated operator);
  *  - compute runs on cache-blocked/tiled kernels (kernels_blocked.h)
  *    with fused element-wise epilogues, parallelized over batch /
- *    output tiles by a ParallelRunner whose support::ThreadPool is
- *    built for each run.
+ *    output tiles by support::parallelFor on the process-wide pool,
+ *    under a thread budget of CpuBackendOptions::threads.
  *
  * Execution is split in two.  A private preparation does the per-plan
  * work once: it resolves the constants and lowers every read map and
@@ -61,7 +61,9 @@ namespace smartmem::exec {
 /** Knobs for a CpuBackend instance. */
 struct CpuBackendOptions
 {
-    /** Worker threads; 0 = SMARTMEM_THREADS env / hardware default,
+    /** Threads per run, installed as the calling thread's
+     *  support::ThreadBudgetGuard; 0 = the caller's budget
+     *  (SMARTMEM_THREADS env / hardware default when none is set),
      *  1 = fully serial. */
     int threads = 0;
 
@@ -146,9 +148,9 @@ class CpuBackend
      * interchangeable plans (runtime::ExecutionPlan::cacheKey).  A
      * reused preparation is checked against the plan: a different
      * kernel or value count raises FatalError.  An unkeyed plan is
-     * prepared on every call.  The SIMD level, the thread pool and the
-     * intermediate buffers are per run either way.  Safe to call
-     * concurrently.
+     * prepared on every call.  The SIMD level and the intermediate
+     * buffers are per run either way; every run shares the
+     * process-wide support::globalPool().  Safe to call concurrently.
      */
     std::vector<Tensor>
     run(const runtime::ExecutionPlan &plan,

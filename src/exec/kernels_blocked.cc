@@ -4,13 +4,12 @@
 #include <array>
 #include <cmath>
 #include <cstring>
-#include <exception>
-#include <future>
 #include <vector>
 
 #include "device/device_profile.h"
 #include "runtime/memory_pool.h"
 #include "support/error.h"
+#include "support/thread_pool.h"
 
 #if SMARTMEM_SIMD_X86
 #include <immintrin.h>
@@ -21,71 +20,7 @@
 
 namespace smartmem::exec {
 
-// -------------------------------------------------------------------
-// ParallelRunner
-// -------------------------------------------------------------------
-
-ParallelRunner::ParallelRunner(int threads)
-{
-    threads_ = threads > 0 ? threads : support::defaultThreadCount();
-    threads_ = std::max(threads_, 1);
-    if (threads_ > 1)
-        pool_ = std::make_unique<support::ThreadPool>(threads_ - 1);
-}
-
-ParallelRunner::~ParallelRunner() = default;
-
-void
-ParallelRunner::run(std::int64_t n, std::int64_t grain,
-                    const std::function<void(std::int64_t, std::int64_t)>
-                        &fn) const
-{
-    if (n <= 0)
-        return;
-    grain = std::max<std::int64_t>(grain, 1);
-    const std::int64_t max_chunks = std::max<std::int64_t>(
-        std::min<std::int64_t>(threads_, (n + grain - 1) / grain), 1);
-    if (max_chunks == 1 || !pool_) {
-        fn(0, n);
-        return;
-    }
-    // Static partition: chunk boundaries depend only on (n, chunks),
-    // so every element is processed by the same chunk at any thread
-    // count -- the backend's determinism guarantee.
-    std::vector<std::future<void>> futures;
-    futures.reserve(static_cast<std::size_t>(max_chunks) - 1);
-    const std::int64_t base = n / max_chunks;
-    const std::int64_t extra = n % max_chunks;
-    std::int64_t begin = 0;
-    std::int64_t first_end = 0;
-    for (std::int64_t cidx = 0; cidx < max_chunks; ++cidx) {
-        std::int64_t len = base + (cidx < extra ? 1 : 0);
-        std::int64_t end = begin + len;
-        if (cidx == 0) {
-            first_end = end; // run on the calling thread below
-        } else {
-            futures.push_back(pool_->submit(
-                [&fn, begin, end] { fn(begin, end); }));
-        }
-        begin = end;
-    }
-    std::exception_ptr first;
-    try {
-        fn(0, first_end);
-    } catch (...) {
-        first = std::current_exception();
-    }
-    for (auto &f : futures) {
-        try {
-            f.get();
-        } catch (...) {
-            if (!first)
-                first = std::current_exception();
-        }
-    }
-    if (first)
-        std::rethrow_exception(first);
-}
+using support::parallelFor;
 
 // -------------------------------------------------------------------
 // Scalar op bodies (also the reference kernels' formulas)
@@ -754,7 +689,7 @@ void
 blockedMatMul(const MatView &a, const MatView &b, const MatMutView &c,
               std::int64_t batch, std::int64_t m, std::int64_t n,
               std::int64_t k, bool transB, SimdLevel simd,
-              const TileParams &tilesIn, const ParallelRunner &par)
+              const TileParams &tilesIn)
 {
     const TileParams tiles = sanitizeTiles(tilesIn);
     // Parallel grain: whole batch items when the batch is large
@@ -765,7 +700,7 @@ blockedMatMul(const MatView &a, const MatView &b, const MatMutView &c,
     const bool dotVec = a.cs == 1 && b.cs == 1;
     float (*const dot)(const float *, const float *, i64) =
         dotVec ? dotKernel(simd) : nullptr;
-    par.run(tasks, 1, [&](std::int64_t t0, std::int64_t t1) {
+    parallelFor(tasks, 1, [&](std::int64_t t0, std::int64_t t1) {
         std::array<i64, kMaxRowTile> cOff;
         for (std::int64_t t = t0; t < t1; ++t) {
             const std::int64_t bi = t / row_blocks;
@@ -807,8 +742,7 @@ blockedFusedAttention(const float *q, const float *k, const float *v,
                       const float *bias, bool biasBatched, float scale,
                       float *out, std::int64_t batch, std::int64_t n,
                       std::int64_t dk, std::int64_t m, std::int64_t dv,
-                      SimdLevel simd, const TileParams &tilesIn,
-                      const ParallelRunner &par)
+                      SimdLevel simd, const TileParams &tilesIn)
 {
     const TileParams tiles = sanitizeTiles(tilesIn);
     const i64 jBlock = std::min(tiles.kBlock, m);
@@ -822,7 +756,7 @@ blockedFusedAttention(const float *q, const float *k, const float *v,
     // GEMM.  Each row's arithmetic is independent and identically
     // ordered, so the quad width never changes output bytes.
     constexpr i64 kQRows = 4;
-    par.run(tasks, 1, [&](std::int64_t t0, std::int64_t t1) {
+    parallelFor(tasks, 1, [&](std::int64_t t0, std::int64_t t1) {
         std::vector<float> sbuf(
             static_cast<std::size_t>(kQRows * jBlock));
         std::vector<float> acc(static_cast<std::size_t>(kQRows * dv));
@@ -908,8 +842,7 @@ blockedConv2d(const float *x, const PlaneLayout &xl, const float *w,
               std::int64_t kh, std::int64_t kw, std::int64_t stride,
               std::int64_t pad, std::int64_t groups, const float *bias,
               std::int64_t biasLen, SimdLevel simd,
-              const TileParams &tilesIn, const ParallelRunner &par,
-              runtime::BufferPool &scratch)
+              const TileParams &tilesIn, runtime::BufferPool &scratch)
 {
     SM_ASSERT(ol.sh == ol.sw * ow,
               "blockedConv2d output layout must be pixel-linear");
@@ -926,7 +859,7 @@ blockedConv2d(const float *x, const PlaneLayout &xl, const float *w,
             // im2col: row r = (c, dy, dx) over output pixels, reading
             // x through its physical layout (vec4-packed channels and
             // padded/texture-order rows stay in place).
-            par.run(col_rows, 4, [&](std::int64_t r0, std::int64_t r1) {
+            parallelFor(col_rows, 4, [&](std::int64_t r0, std::int64_t r1) {
                 for (std::int64_t r = r0; r < r1; ++r) {
                     const std::int64_t c = r / (kh * kw);
                     const std::int64_t dy = (r / kw) % kh;
@@ -970,7 +903,7 @@ blockedConv2d(const float *x, const PlaneLayout &xl, const float *w,
             for (std::int64_t o = 0; o < ocg; ++o)
                 rowOff[static_cast<std::size_t>(o)] =
                     ol.planeOff(n, g * ocg + o);
-            par.run(ocg, 1, [&](std::int64_t o0, std::int64_t o1) {
+            parallelFor(ocg, 1, [&](std::int64_t o0, std::int64_t o1) {
                 gemmStrided(simd, tiles, wg + o0 * col_rows, col_rows,
                             1, col, cols, 1, out, rowOff.data() + o0,
                             ol.sw, o1 - o0, cols, col_rows);
@@ -996,10 +929,9 @@ blockedDepthwiseConv2d(const float *x, const PlaneLayout &xl,
                        std::int64_t n_batch, std::int64_t c,
                        std::int64_t h, std::int64_t wdim, std::int64_t oh,
                        std::int64_t ow, std::int64_t kh, std::int64_t kw,
-                       std::int64_t stride, std::int64_t pad,
-                       const ParallelRunner &par)
+                       std::int64_t stride, std::int64_t pad)
 {
-    par.run(n_batch * c, 1, [&](std::int64_t p0, std::int64_t p1) {
+    parallelFor(n_batch * c, 1, [&](std::int64_t p0, std::int64_t p1) {
         for (std::int64_t p = p0; p < p1; ++p) {
             const std::int64_t n = p / c;
             const std::int64_t ch = p % c;
@@ -1036,9 +968,9 @@ blockedDepthwiseConv2d(const float *x, const PlaneLayout &xl,
 
 void
 blockedUnary(ir::OpKind kind, const ir::Node &node, const float *x,
-             float *y, std::int64_t n, const ParallelRunner &par)
+             float *y, std::int64_t n)
 {
-    par.run(n, 4096, [&](std::int64_t i0, std::int64_t i1) {
+    parallelFor(n, 4096, [&](std::int64_t i0, std::int64_t i1) {
         switch (kind) {
           case ir::OpKind::Relu:
             for (std::int64_t i = i0; i < i1; ++i)
@@ -1081,13 +1013,13 @@ broadcastStrides(const ir::Shape &outShape, const ir::Shape &s)
 void
 blockedBinary(ir::OpKind kind, const float *a, const float *b, float *out,
               const ir::Shape &outShape, const ir::Shape &aShape,
-              const ir::Shape &bShape, const ParallelRunner &par)
+              const ir::Shape &bShape)
 {
     const std::int64_t n = outShape.numElements();
 
     // Fast path: both operands elementwise-identical to the output.
     if (aShape == outShape && bShape == outShape) {
-        par.run(n, 4096, [&](std::int64_t i0, std::int64_t i1) {
+        parallelFor(n, 4096, [&](std::int64_t i0, std::int64_t i1) {
             switch (kind) {
               case ir::OpKind::Add:
                 for (std::int64_t i = i0; i < i1; ++i)
@@ -1114,7 +1046,7 @@ blockedBinary(ir::OpKind kind, const float *a, const float *b, float *out,
     const auto astr = broadcastStrides(outShape, aShape);
     const auto bstr = broadcastStrides(outShape, bShape);
     const int rank = outShape.rank();
-    par.run(n, 4096, [&](std::int64_t i0, std::int64_t i1) {
+    parallelFor(n, 4096, [&](std::int64_t i0, std::int64_t i1) {
         std::vector<std::int64_t> coord = ir::delinearize(i0, outShape);
         std::int64_t aoff = 0, boff = 0;
         for (int d = 0; d < rank; ++d) {
@@ -1145,7 +1077,7 @@ blockedBinary(ir::OpKind kind, const float *a, const float *b, float *out,
 
 void
 blockedSoftmax(const float *x, float *out, const ir::Shape &shape,
-               int axis, const ParallelRunner &par)
+               int axis)
 {
     std::int64_t inner = 1;
     for (int i = axis + 1; i < shape.rank(); ++i)
@@ -1153,7 +1085,7 @@ blockedSoftmax(const float *x, float *out, const ir::Shape &shape,
     const std::int64_t extent = shape.dim(axis);
     const std::int64_t outer = shape.numElements() / (inner * extent);
 
-    par.run(outer, 1, [&](std::int64_t o0, std::int64_t o1) {
+    parallelFor(outer, 1, [&](std::int64_t o0, std::int64_t o1) {
         for (std::int64_t o = o0; o < o1; ++o) {
             for (std::int64_t i = 0; i < inner; ++i) {
                 const float *xp = x + o * extent * inner + i;
@@ -1175,9 +1107,9 @@ void
 blockedLayerNorm(const float *x, const float *gamma,
                  std::int64_t gammaLen, const float *beta,
                  std::int64_t betaLen, float *out, std::int64_t outer,
-                 std::int64_t inner, const ParallelRunner &par)
+                 std::int64_t inner)
 {
-    par.run(outer, 1, [&](std::int64_t o0, std::int64_t o1) {
+    parallelFor(outer, 1, [&](std::int64_t o0, std::int64_t o1) {
         for (std::int64_t o = o0; o < o1; ++o) {
             const float *xp = x + o * inner;
             float *op = out + o * inner;
@@ -1204,9 +1136,9 @@ blockedLayerNorm(const float *x, const float *gamma,
 
 void
 blockedInstanceNorm(const float *x, float *out, std::int64_t nc,
-                    std::int64_t hw, const ParallelRunner &par)
+                    std::int64_t hw)
 {
-    par.run(nc, 1, [&](std::int64_t o0, std::int64_t o1) {
+    parallelFor(nc, 1, [&](std::int64_t o0, std::int64_t o1) {
         for (std::int64_t o = o0; o < o1; ++o) {
             const float *xp = x + o * hw;
             float *op = out + o * hw;
@@ -1229,10 +1161,9 @@ void
 blockedBatchNorm(const float *x, const float *scale,
                  std::int64_t scaleLen, const float *bias,
                  std::int64_t biasLen, float *out, std::int64_t n,
-                 std::int64_t c, std::int64_t hw,
-                 const ParallelRunner &par)
+                 std::int64_t c, std::int64_t hw)
 {
-    par.run(n * c, 1, [&](std::int64_t p0, std::int64_t p1) {
+    parallelFor(n * c, 1, [&](std::int64_t p0, std::int64_t p1) {
         for (std::int64_t p = p0; p < p1; ++p) {
             const std::int64_t ch = p % c;
             const float g = scale[ch % scaleLen];

@@ -1,6 +1,6 @@
 /**
  * @file
- * Cache-blocked, thread-pooled CPU kernels for the cpu-blocked
+ * Cache-blocked, multi-threaded CPU kernels for the cpu-blocked
  * execution backend, with runtime-dispatched SIMD inner loops.
  *
  * The element-wise and normalization kernels operate on raw row-major
@@ -17,22 +17,21 @@
  * Blocking factors come from TileParams, resolved from the target
  * DeviceProfile rather than hard-coded.
  *
- * Work is split into static contiguous ranges, each element written
- * by exactly one worker, and per-element accumulation order is fixed
- * (ascending k) regardless of partitioning -- so at a fixed SimdLevel
- * results are byte-identical at every thread count, the determinism
- * guarantee tests/cpu_backend_test.cc pins.
+ * Work is split by support::parallelFor into static contiguous ranges
+ * on the process-wide pool, as many as the calling thread's budget
+ * allows; each element is written by exactly one range, and
+ * per-element accumulation order is fixed (ascending k) regardless of
+ * partitioning -- so at a fixed SimdLevel results are byte-identical
+ * at every thread count, the determinism guarantee
+ * tests/cpu_backend_test.cc pins.
  */
 #ifndef SMARTMEM_EXEC_KERNELS_BLOCKED_H
 #define SMARTMEM_EXEC_KERNELS_BLOCKED_H
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 
 #include "exec/simd_dispatch.h"
 #include "ir/graph.h"
-#include "support/thread_pool.h"
 
 namespace smartmem::runtime {
 class BufferPool;
@@ -43,43 +42,6 @@ struct DeviceProfile;
 }
 
 namespace smartmem::exec {
-
-/**
- * Static-partition parallel driver over an index range.  Owns a
- * fixed-size support::ThreadPool for its lifetime (the cpu-blocked
- * backend builds one runner per run), reused across every kernel
- * launch of that run, so per-kernel overhead is one submit/wait
- * round, not thread creation.
- */
-class ParallelRunner
-{
-  public:
-    /** @param threads  0 = SMARTMEM_THREADS env / hardware default. */
-    explicit ParallelRunner(int threads);
-    ~ParallelRunner();
-
-    ParallelRunner(const ParallelRunner &) = delete;
-    ParallelRunner &operator=(const ParallelRunner &) = delete;
-
-    int threads() const { return threads_; }
-
-    /**
-     * Invoke fn(begin, end) over a static partition of [0, n) into at
-     * most threads() contiguous ranges of at least `grain` indices.
-     * Ranges depend only on (n, grain, threads()); each index is
-     * processed by exactly one invocation.  Serial (single inline
-     * call) when the range is small or the runner has one thread.
-     * The first exception (lowest range) is rethrown after all ranges
-     * finish.
-     */
-    void run(std::int64_t n, std::int64_t grain,
-             const std::function<void(std::int64_t, std::int64_t)> &fn)
-        const;
-
-  private:
-    std::unique_ptr<support::ThreadPool> pool_; // null when serial
-    int threads_ = 1;
-};
 
 /**
  * GEMM blocking factors.  Resolved per device via resolveTileParams;
@@ -188,8 +150,7 @@ struct PlaneLayout
 void blockedMatMul(const MatView &a, const MatView &b,
                    const MatMutView &c, std::int64_t batch,
                    std::int64_t m, std::int64_t n, std::int64_t k,
-                   bool transB, SimdLevel simd, const TileParams &tiles,
-                   const ParallelRunner &par);
+                   bool transB, SimdLevel simd, const TileParams &tiles);
 
 /**
  * Grouped/standard conv via im2col + blocked GEMM, reading x and
@@ -211,8 +172,7 @@ void blockedConv2d(const float *x, const PlaneLayout &xl, const float *w,
                    std::int64_t stride, std::int64_t pad,
                    std::int64_t groups, const float *bias,
                    std::int64_t biasLen, SimdLevel simd,
-                   const TileParams &tiles, const ParallelRunner &par,
-                   runtime::BufferPool &scratch);
+                   const TileParams &tiles, runtime::BufferPool &scratch);
 
 /** Depthwise conv, direct-tiled through PlaneLayout views; parallel
  *  over (n, c) planes. */
@@ -223,12 +183,12 @@ void blockedDepthwiseConv2d(const float *x, const PlaneLayout &xl,
                             std::int64_t wdim, std::int64_t oh,
                             std::int64_t ow, std::int64_t kh,
                             std::int64_t kw, std::int64_t stride,
-                            std::int64_t pad, const ParallelRunner &par);
+                            std::int64_t pad);
 
 /** y[i] = unary(x[i]) over n elements, parallel over ranges.  `node`
  *  supplies attribute-dependent kinds (Scale).  x may alias y. */
 void blockedUnary(ir::OpKind kind, const ir::Node &node, const float *x,
-                  float *y, std::int64_t n, const ParallelRunner &par);
+                  float *y, std::int64_t n);
 
 /** Scalar unary application: the one definition of every unary
  *  kind, shared by the reference kernels and the epilogue fuser. */
@@ -247,12 +207,11 @@ float applyBinaryScalar(ir::OpKind kind, float a, float b);
  */
 void blockedBinary(ir::OpKind kind, const float *a, const float *b,
                    float *out, const ir::Shape &outShape,
-                   const ir::Shape &aShape, const ir::Shape &bShape,
-                   const ParallelRunner &par);
+                   const ir::Shape &aShape, const ir::Shape &bShape);
 
 /** Softmax over `axis` (reference semantics), parallel over slices. */
 void blockedSoftmax(const float *x, float *out, const ir::Shape &shape,
-                    int axis, const ParallelRunner &par);
+                    int axis);
 
 /**
  * Streaming fused attention: out = softmax(scale * Q.K^T + bias) . V
@@ -278,27 +237,24 @@ void blockedFusedAttention(const float *q, const float *k, const float *v,
                            float scale, float *out, std::int64_t batch,
                            std::int64_t n, std::int64_t dk,
                            std::int64_t m, std::int64_t dv,
-                           SimdLevel simd, const TileParams &tiles,
-                           const ParallelRunner &par);
+                           SimdLevel simd, const TileParams &tiles);
 
 /** LayerNorm over the last dim with optional gamma/beta, parallel
  *  over outer slices. */
 void blockedLayerNorm(const float *x, const float *gamma,
                       std::int64_t gammaLen, const float *beta,
                       std::int64_t betaLen, float *out,
-                      std::int64_t outer, std::int64_t inner,
-                      const ParallelRunner &par);
+                      std::int64_t outer, std::int64_t inner);
 
 /** InstanceNorm over H,W per (N,C) plane, parallel over planes. */
 void blockedInstanceNorm(const float *x, float *out, std::int64_t nc,
-                         std::int64_t hw, const ParallelRunner &par);
+                         std::int64_t hw);
 
 /** Folded-stats BatchNorm (per-channel affine), parallel over (n,c). */
 void blockedBatchNorm(const float *x, const float *scale,
                       std::int64_t scaleLen, const float *bias,
                       std::int64_t biasLen, float *out, std::int64_t n,
-                      std::int64_t c, std::int64_t hw,
-                      const ParallelRunner &par);
+                      std::int64_t c, std::int64_t hw);
 
 } // namespace smartmem::exec
 

@@ -1,7 +1,6 @@
 #include "index/expr.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "support/error.h"
 #include "support/strings.h"
@@ -644,93 +643,6 @@ exprEquals(const Expr &a, const Expr &b)
     if (a->rhs && !exprEquals(a->rhs, b->rhs))
         return false;
     return true;
-}
-
-// ---------------------------------------------------------------------
-// Compiled evaluation
-// ---------------------------------------------------------------------
-
-CompiledExprs
-CompiledExprs::compile(const std::vector<Expr> &exprs)
-{
-    CompiledExprs out;
-    out.programs_.reserve(exprs.size());
-    for (const Expr &e : exprs) {
-        std::vector<Instr> prog;
-        // Iterative postorder would save nothing here: trees are tiny
-        // and compilation runs once per materialization.
-        std::size_t depth = 0;
-        std::function<std::size_t(const Expr &)> flatten =
-            [&](const Expr &node) -> std::size_t {
-            switch (node->kind) {
-              case ExprKind::Const:
-              case ExprKind::Var:
-                prog.push_back({node->kind, node->value, nullptr});
-                return 1;
-              case ExprKind::Add:
-              case ExprKind::Mul: {
-                std::size_t l = flatten(node->lhs);
-                std::size_t r = flatten(node->rhs);
-                prog.push_back({node->kind, 0, nullptr});
-                return std::max(l, r + 1);
-              }
-              case ExprKind::Div:
-              case ExprKind::Mod: {
-                // The rhs is a constant by construction
-                // (makeDiv/makeMod); fold it into the instruction.
-                std::size_t l = flatten(node->lhs);
-                prog.push_back({node->kind, node->rhs->value, nullptr});
-                return l;
-              }
-              case ExprKind::Lookup: {
-                std::size_t l = flatten(node->lhs);
-                prog.push_back({node->kind, 0, node->table});
-                return l;
-              }
-            }
-            smPanic("unhandled expr kind in CompiledExprs");
-        };
-        depth = flatten(e);
-        out.stackDepth_ = std::max(out.stackDepth_, depth);
-        out.programs_.push_back(std::move(prog));
-    }
-    return out;
-}
-
-std::int64_t
-CompiledExprs::eval(int i, const std::vector<std::int64_t> &vars,
-                    std::vector<std::int64_t> &stack) const
-{
-    const auto &prog = programs_[static_cast<std::size_t>(i)];
-    std::int64_t *sp = stack.data();
-    for (const Instr &ins : prog) {
-        switch (ins.kind) {
-          case ExprKind::Const:
-            *sp++ = ins.value;
-            break;
-          case ExprKind::Var:
-            *sp++ = vars[static_cast<std::size_t>(ins.value)];
-            break;
-          case ExprKind::Add:
-            --sp;
-            sp[-1] += *sp;
-            break;
-          case ExprKind::Mul:
-            --sp;
-            sp[-1] *= *sp;
-            break;
-          case ExprKind::Div:
-            sp[-1] /= ins.value;
-            break;
-          case ExprKind::Mod:
-            sp[-1] %= ins.value;
-            break;
-          case ExprKind::Lookup:
-            sp[-1] = (*ins.table)[static_cast<std::size_t>(sp[-1])];
-            break;
-        }
-    }
-    return sp[-1];
 }
 
 } // namespace smartmem::index

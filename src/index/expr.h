@@ -8,7 +8,9 @@
  * +, *, floor-division and modulo by constants, plus a Lookup node for
  * Gather indirection.  The simplifier implements the paper's strength
  * reduction rules (e.g. i % Ca % Cb -> i % Cb when Ca % Cb == 0) using
- * value-range analysis over the known dimension extents.
+ * value-range analysis over the known dimension extents.  evalExpr is
+ * the one evaluator: the CPU backend calls it when it lowers a read
+ * map to offset tables, once per prepared plan, never per run.
  */
 #ifndef SMARTMEM_INDEX_EXPR_H
 #define SMARTMEM_INDEX_EXPR_H
@@ -122,51 +124,6 @@ std::vector<Expr> parseExprList(const std::string &text);
 
 /** Structural equality. */
 bool exprEquals(const Expr &a, const Expr &b);
-
-/**
- * Flattened postfix form of an expression list, for tight repeated
- * evaluation.  The CPU execution backend evaluates composed read-map
- * expressions once per tensor element; recursing through the
- * shared_ptr tree (evalExpr) costs more than the arithmetic itself.
- * Compilation walks each tree once into a postfix instruction vector;
- * eval() then runs on a caller-provided value stack with no
- * allocation, no recursion, and no pointer chasing beyond lookup
- * tables.  eval() returns exactly what evalExpr() returns for every
- * expression the library builds (pinned by index_test).
- */
-class CompiledExprs
-{
-  public:
-    CompiledExprs() = default;
-
-    /** Flatten `exprs` (e.g. IndexMap::exprs()). */
-    static CompiledExprs compile(const std::vector<Expr> &exprs);
-
-    int count() const { return static_cast<int>(programs_.size()); }
-
-    /** Deepest value-stack any program needs; size scratch to this. */
-    std::size_t stackDepth() const { return stackDepth_; }
-
-    /**
-     * Evaluate program `i` under `vars`.  `stack` is caller-owned
-     * scratch resized to at least stackDepth() (per-thread, so
-     * concurrent eval() calls need distinct stacks).  Bounds are the
-     * compiler's responsibility: programs come from validated maps.
-     */
-    std::int64_t eval(int i, const std::vector<std::int64_t> &vars,
-                      std::vector<std::int64_t> &stack) const;
-
-  private:
-    struct Instr
-    {
-        ExprKind kind = ExprKind::Const;
-        std::int64_t value = 0; ///< Const value, Var id, Div/Mod rhs
-        std::shared_ptr<const std::vector<std::int64_t>> table;
-    };
-
-    std::vector<std::vector<Instr>> programs_;
-    std::size_t stackDepth_ = 1;
-};
 
 } // namespace smartmem::index
 

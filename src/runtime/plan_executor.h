@@ -35,7 +35,8 @@ namespace smartmem::runtime {
 /** Options shared by every execution backend. */
 struct ExecutorOptions
 {
-    /** Worker threads; 0 = SMARTMEM_THREADS env / hardware default.
+    /** Threads per run; 0 = the caller's thread budget
+     *  (SMARTMEM_THREADS env / hardware default when none is set).
      *  The reference backend is always serial. */
     int threads = 0;
 

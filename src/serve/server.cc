@@ -270,10 +270,9 @@ InferenceServer::start()
     if (started_ || stopped_)
         return;
     started_ = true;
-    pool_ = std::make_unique<support::ThreadPool>(options_.workers);
-    workerDone_.reserve(static_cast<std::size_t>(options_.workers));
+    workers_.reserve(static_cast<std::size_t>(options_.workers));
     for (int i = 0; i < options_.workers; ++i)
-        workerDone_.push_back(pool_->submit([this] { workerLoop(); }));
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 void
@@ -297,10 +296,9 @@ InferenceServer::shutdown(bool drain)
             q.promise.set_value(std::move(r));
         }
     }
-    for (auto &f : workerDone_)
-        f.get(); // worker loops never throw; rethrow if one did
-    workerDone_.clear();
-    pool_.reset();
+    for (std::thread &t : workers_)
+        t.join();
+    workers_.clear();
 }
 
 void

@@ -5,7 +5,7 @@
  * Architecture (docs/SERVING.md):
  *
  *   submit() ──> AdmissionQueue (bounded) ──> worker threads
- *                                             (support::ThreadPool)
+ *                                             (std::thread)
  *                                               │ popBatch():
  *                                               │ same-(model, device,
  *                                               │ compiler, stage)
@@ -33,7 +33,9 @@
  * cache hit after the first occurrence, and concurrent first
  * occurrences are single-flight -- stack the requests' inputs along
  * the batch dimension, execute once on the device's shared executor,
- * and slice the outputs back into per-request responses.  The shared
+ * and slice the outputs back into per-request responses.  Workers are
+ * plain threads, so an execution with executorThreads > 1 splits its
+ * kernels across the process-wide support::globalPool().  The shared
  * executor keeps its preparations for the life of the server, so each
  * keyed batch-k plan is prepared (constants resolved, reads lowered)
  * once per server, and the batch sizes of one model share its
@@ -49,6 +51,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/compile_session.h"
@@ -59,7 +62,6 @@
 #include "serve/batcher.h"
 #include "serve/request.h"
 #include "serve/serve_stats.h"
-#include "support/thread_pool.h"
 
 namespace smartmem::serve {
 
@@ -199,8 +201,6 @@ class InferenceServer
     mutable std::mutex mu_;
     bool started_ = false;
     bool stopped_ = false;
-    std::unique_ptr<support::ThreadPool> pool_;
-    std::vector<std::future<void>> workerDone_;
     /** Device fingerprint -> profile seen at submit (so execute()
      *  needs no registry access). */
     std::map<std::string, device::DeviceProfile> devicesByFp_;
@@ -218,6 +218,12 @@ class InferenceServer
      *  batch > 1" memo, so fixed-batch sources don't retry a failing
      *  build on every batch. */
     std::map<std::string, bool> batchable_;
+    /** Declared last: the workers use every member above.  Plain
+     *  threads, not a support::ThreadPool: a pool worker runs every
+     *  parallel loop inline, and these must fan out to the
+     *  process-wide pool when executorThreads > 1.  Their loops never
+     *  throw (execute() answers every failure as a response). */
+    std::vector<std::thread> workers_;
 };
 
 } // namespace smartmem::serve

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-
-#include "support/error.h"
+#include <exception>
 
 namespace smartmem::support {
 
@@ -44,20 +43,9 @@ ThreadPool::submit(std::function<void()> fn)
     {
         std::lock_guard<std::mutex> lock(mu_);
         queue_.push_back(std::move(task));
-        ++pending_;
     }
     cv_.notify_one();
     return future;
-}
-
-void
-ThreadPool::drain()
-{
-    SM_ASSERT(!onWorkerThread(),
-              "ThreadPool::drain() called from a pool worker "
-              "(would wait on itself)");
-    std::unique_lock<std::mutex> lock(mu_);
-    idleCv_.wait(lock, [this] { return pending_ == 0; });
 }
 
 bool
@@ -81,12 +69,6 @@ ThreadPool::workerLoop()
             queue_.pop_front();
         }
         task(); // exceptions land in the matching future
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --pending_;
-            if (pending_ == 0)
-                idleCv_.notify_all();
-        }
     }
 }
 
@@ -132,7 +114,8 @@ currentThreadBudget()
 
 ThreadBudgetGuard::ThreadBudgetGuard(int budget) : prev_(tl_budget)
 {
-    tl_budget = std::max(budget, 1);
+    if (budget > 0)
+        tl_budget = budget;
 }
 
 ThreadBudgetGuard::~ThreadBudgetGuard()
@@ -140,65 +123,55 @@ ThreadBudgetGuard::~ThreadBudgetGuard()
     tl_budget = prev_;
 }
 
-int
-effectiveParallelism(std::size_t n)
-{
-    if (n < 2 || ThreadPool::onWorkerThread())
-        return 1;
-    int budget = tl_budget > 0 ? tl_budget : defaultThreadCount();
-    ThreadPool *pool = globalPool();
-    int width = pool == nullptr ? 1 : pool->size();
-    return static_cast<int>(std::min<std::size_t>(
-        n, static_cast<std::size_t>(std::min(budget, width))));
-}
-
 void
-parallelFor(std::size_t n, const std::function<void(std::size_t, int)> &fn)
+parallelFor(std::int64_t n, std::int64_t grain,
+            const std::function<void(std::int64_t, std::int64_t)> &fn)
 {
-    const int chunks = effectiveParallelism(n);
-    if (chunks <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i, 0);
+    if (n <= 0)
+        return;
+    grain = std::max<std::int64_t>(grain, 1);
+    const int budget = tl_budget > 0 ? tl_budget : defaultThreadCount();
+    const std::int64_t chunks =
+        std::min<std::int64_t>(budget, (n + grain - 1) / grain);
+    ThreadPool *pool = chunks > 1 && !tl_on_worker ? globalPool() : nullptr;
+    if (pool == nullptr) {
+        ThreadBudgetGuard serial(1);
+        fn(0, n);
         return;
     }
 
-    // Contiguous chunks; chunk c covers [c*per + min(c,rem), ...).
-    const std::size_t per = n / static_cast<std::size_t>(chunks);
-    const std::size_t rem = n % static_cast<std::size_t>(chunks);
-    auto chunkBegin = [per, rem](int c) {
-        auto uc = static_cast<std::size_t>(c);
-        return uc * per + std::min(uc, rem);
+    // Static partition: range c covers [c*base + min(c, extra), ...),
+    // so its bounds depend only on (n, grain, chunks) -- every index
+    // is processed by the same range whichever thread runs it.
+    const std::int64_t base = n / chunks;
+    const std::int64_t extra = n % chunks;
+    auto rangeBegin = [base, extra](std::int64_t c) {
+        return c * base + std::min(c, extra);
     };
-    auto runChunk = [&](int c) {
-        const std::size_t end = chunkBegin(c + 1);
-        for (std::size_t i = chunkBegin(c); i < end; ++i)
-            fn(i, c);
+    auto runRange = [&](std::int64_t c) {
+        ThreadBudgetGuard serial(1);
+        fn(rangeBegin(c), rangeBegin(c + 1));
     };
-
-    std::vector<std::exception_ptr> errors(
-        static_cast<std::size_t>(chunks));
     std::vector<std::future<void>> futures;
-    futures.reserve(static_cast<std::size_t>(chunks) - 1);
-    for (int c = 1; c < chunks; ++c)
-        futures.push_back(globalPool()->submit([&runChunk, c] {
-            runChunk(c);
-        }));
+    futures.reserve(static_cast<std::size_t>(chunks - 1));
+    for (std::int64_t c = 1; c < chunks; ++c)
+        futures.push_back(pool->submit([&runRange, c] { runRange(c); }));
+    std::exception_ptr first;
     try {
-        runChunk(0);
+        runRange(0);
     } catch (...) {
-        errors[0] = std::current_exception();
+        first = std::current_exception();
     }
-    for (int c = 1; c < chunks; ++c) {
+    for (std::future<void> &f : futures) {
         try {
-            futures[static_cast<std::size_t>(c - 1)].get();
+            f.get();
         } catch (...) {
-            errors[static_cast<std::size_t>(c)] =
-                std::current_exception();
+            if (!first)
+                first = std::current_exception();
         }
     }
-    for (const std::exception_ptr &e : errors)
-        if (e)
-            std::rethrow_exception(e);
+    if (first)
+        std::rethrow_exception(first);
 }
 
 } // namespace smartmem::support

@@ -1,6 +1,7 @@
 /**
  * @file
- * A small, deterministic thread pool for the compilation pipeline.
+ * A small, deterministic thread pool and the library's one parallel
+ * loop.
  *
  * Design constraints (Section "parallel planner" of the roadmap):
  *  - Fixed-size: N worker threads created up front, joined on
@@ -8,32 +9,35 @@
  *    start order equal to submission order.
  *  - Futures-based: submit() returns a std::future that delivers the
  *    task's result or rethrows its exception in the waiting thread.
- *  - Nesting-safe: code running *on* a pool worker that calls
- *    parallelFor()/parallelMap() degrades to serial inline execution
+ *  - One loop, one pool: parallelFor() splits a range statically and
+ *    runs its ranges on the caller and the process-wide globalPool(),
+ *    whose threads are created once per process.  Kernels, layout
+ *    selection and parallelMap() all go through it.
+ *  - Nesting-safe: code running *on* a pool worker, or inside a loop
+ *    body, that calls parallelFor()/parallelMap() runs inline
  *    (workers never block on work queued behind themselves, so pools
- *    cannot deadlock), and every parallel helper produces bit-identical
- *    results to its serial equivalent.
+ *    cannot deadlock), and every parallel helper produces
+ *    bit-identical results to its serial equivalent.
  *
  * Thread-count policy: the SMARTMEM_THREADS environment variable
  * overrides std::thread::hardware_concurrency(); an explicit
  * ThreadBudgetGuard overrides both for the current thread (the compile
  * session pins jobs to budget 1 so per-model compilation stays serial
- * inside its workers).
+ * inside its workers, and exec::CpuBackend::run installs its
+ * `threads` option).
  */
 #ifndef SMARTMEM_SUPPORT_THREAD_POOL_H
 #define SMARTMEM_SUPPORT_THREAD_POOL_H
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
 #include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace smartmem::support {
@@ -48,9 +52,7 @@ class ThreadPool
     /**
      * Destruction runs every task already queued to completion, then
      * joins the workers: nothing submitted before the destructor is
-     * lost or cancelled.  Equivalent to drain() followed by teardown.
-     * Use drain() to reach the same quiescent point without
-     * destroying the pool.
+     * lost or cancelled.
      */
     ~ThreadPool();
 
@@ -62,17 +64,8 @@ class ThreadPool
     /** Queue a task; the future rethrows the task's exception. */
     std::future<void> submit(std::function<void()> fn);
 
-    /**
-     * Block until the pool is idle: every task submitted so far --
-     * queued or mid-execution -- has finished.  Tasks submitted by
-     * other threads while drain() waits are waited on too.  The pool
-     * stays usable afterwards.  Calling drain() from a pool worker
-     * would self-deadlock and is rejected with InternalError.
-     */
-    void drain();
-
-    /** True on a thread owned by *any* ThreadPool.  Parallel helpers
-     *  use this to run inline instead of re-entering a pool. */
+    /** True on a thread owned by *any* ThreadPool.  parallelFor()
+     *  uses this to run inline instead of re-entering a pool. */
     static bool onWorkerThread();
 
   private:
@@ -80,9 +73,7 @@ class ThreadPool
 
     std::mutex mu_;
     std::condition_variable cv_;
-    std::condition_variable idleCv_; ///< signalled when pending_ hits 0
     std::deque<std::packaged_task<void()>> queue_;
-    std::size_t pending_ = 0; ///< queued + currently-executing tasks
     bool stop_ = false;
     std::vector<std::thread> workers_;
 };
@@ -96,9 +87,9 @@ int parseThreadCount(const char *value);
 int defaultThreadCount();
 
 /**
- * Process-wide pool for intra-compilation parallelism (candidate
- * scoring in layout selection).
- * Null when defaultThreadCount() == 1; created lazily otherwise.
+ * Process-wide pool of defaultThreadCount() workers that runs every
+ * parallelFor() range but the caller's.  Null when
+ * defaultThreadCount() == 1; created lazily otherwise.
  */
 ThreadPool *globalPool();
 
@@ -106,7 +97,8 @@ ThreadPool *globalPool();
  *  (fall back to defaultThreadCount()). */
 int currentThreadBudget();
 
-/** RAII override of the current thread's parallelism budget. */
+/** RAII override of the current thread's parallelism budget; a
+ *  budget <= 0 keeps the current one. */
 class ThreadBudgetGuard
 {
   public:
@@ -120,68 +112,41 @@ class ThreadBudgetGuard
 };
 
 /**
- * Number of chunks parallelFor() would split `n` items into right now:
- * min(budget, global pool size, n), and 1 on a pool worker thread.
- * Callers use it to pre-size per-slot scratch state.
+ * Invoke fn(begin, end) over a static partition of [0, n) into
+ * c = min(budget, ceil(n / grain)) contiguous ranges, where budget is
+ * the current thread's (currentThreadBudget(), else
+ * defaultThreadCount()).  The ranges depend only on (n, grain, c);
+ * range 0 runs on the calling thread and the others on globalPool().
+ * One inline call fn(0, n) when c <= 1, when the caller is a worker
+ * of any ThreadPool, or when there is no global pool.  Bodies run
+ * under ThreadBudgetGuard(1), so a loop nested in a body runs inline.
+ * After every range has finished, the exception of the lowest range
+ * that failed is rethrown.
  */
-int effectiveParallelism(std::size_t n);
+void parallelFor(std::int64_t n, std::int64_t grain,
+                 const std::function<void(std::int64_t begin,
+                                          std::int64_t end)> &fn);
 
 /**
- * Run fn(i, slot) for every i in [0, n).  Work is split into
- * effectiveParallelism(n) contiguous chunks; chunk 0 runs on the
- * calling thread, the rest on the global pool.  `slot` is the chunk
- * index (stable, < effectiveParallelism(n)); a slot never runs two
- * indices concurrently, so per-slot scratch needs no locking.  If any
- * iteration throws, the exception from the lowest-numbered chunk is
- * rethrown after all chunks finish.  Serial when n < 2, the budget is
- * 1, or the caller is a pool worker -- in every case the side effects
- * are identical to the serial loop.
- */
-void parallelFor(std::size_t n,
-                 const std::function<void(std::size_t, int)> &fn);
-
-/**
- * Evaluate fn(i) for i in [0, n) across up to `threads` threads
- * (0 = defaultThreadCount()) on a transient pool, returning results in
- * index order.  The result type must be default-constructible.  The
- * first exception (in index order) is rethrown after all tasks finish.
- * Serial inline when threads <= 1, n < 2, or on a pool worker.
+ * Evaluate fn(i) for i in [0, n) under a budget of `threads`
+ * (0 = the current thread's budget), returning results in index
+ * order: parallelFor(n, 1, ...) under ThreadBudgetGuard(threads).
+ * The result type must be default-constructible.  The first exception
+ * in index order is rethrown after every range finishes.
  */
 template <typename Fn>
 auto
 parallelMap(std::size_t n, int threads, Fn &&fn)
     -> std::vector<std::invoke_result_t<Fn &, std::size_t>>
 {
-    using R = std::invoke_result_t<Fn &, std::size_t>;
-    std::vector<R> out(n);
-    int t = threads > 0 ? threads : defaultThreadCount();
-    if (ThreadPool::onWorkerThread() || currentThreadBudget() == 1)
-        t = 1;
-    if (t <= 1 || n < 2) {
-        for (std::size_t i = 0; i < n; ++i)
+    std::vector<std::invoke_result_t<Fn &, std::size_t>> out(n);
+    ThreadBudgetGuard budget(threads);
+    parallelFor(static_cast<std::int64_t>(n), 1,
+                [&](std::int64_t begin, std::int64_t end) {
+        for (auto i = static_cast<std::size_t>(begin);
+             i < static_cast<std::size_t>(end); ++i)
             out[i] = fn(i);
-        return out;
-    }
-    ThreadPool pool(static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(t), n)));
-    std::vector<std::future<void>> futures;
-    futures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        futures.push_back(pool.submit([&out, &fn, i] {
-            out[i] = fn(i);
-        }));
-    }
-    std::exception_ptr first;
-    for (auto &f : futures) {
-        try {
-            f.get();
-        } catch (...) {
-            if (!first)
-                first = std::current_exception();
-        }
-    }
-    if (first)
-        std::rethrow_exception(first);
+    });
     return out;
 }
 

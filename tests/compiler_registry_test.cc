@@ -142,8 +142,8 @@ TEST(CompilerRegistryCatalog, RejectsDuplicateRegistration)
             std::string name() const override { return "dup"; }
             std::string description() const override { return "d"; }
             CompilerResult
-            compile(CompileSession &, const std::string &,
-                    const CompileOptions &) const override
+            compileSource(CompileSession &, const models::GraphSource &,
+                          const CompileOptions &) const override
             {
                 return {false, "dummy", nullptr};
             }

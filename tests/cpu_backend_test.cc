@@ -439,6 +439,49 @@ TEST(CpuBackendCache, ConcurrentRunsOnASharedBackendMatchSerial)
                 << "caller " << t << " run " << r;
 }
 
+TEST(CpuBackendCache, ConcurrentMultiThreadedRunsShareTheProcessPool)
+{
+    // Every run splits its kernels across the one process-wide pool,
+    // so four callers at threads = 4 interleave their ranges there.
+    core::CompileSession session(device::adreno740(), 1);
+    session.setPlanCacheDir("");
+    constexpr int kPlans = 3;
+    const PlanPtr plans[kPlans] = {keyedTinyPlan(session, "Swin", 3, 2),
+                                   keyedTinyPlan(session, "ViT", 3, 2),
+                                   keyedTinyPlan(session, "ResNext", 3, 2)};
+    std::map<ir::ValueId, exec::Tensor> inputs[kPlans];
+    std::vector<exec::Tensor> serial[kPlans];
+    for (int p = 0; p < kPlans; ++p) {
+        inputs[p] = exec::makeSeededInputs(plans[p]->graph,
+                                           exec::Executor(kSeed));
+        serial[p] = exec::CpuBackend(backendOptions(1)).run(*plans[p],
+                                                             inputs[p]);
+    }
+
+    const exec::CpuBackend shared(backendOptions(4));
+    constexpr int kCallers = 4;
+    std::vector<std::vector<std::vector<exec::Tensor>>> got(kCallers);
+    std::vector<std::thread> callers;
+    for (int t = 0; t < kCallers; ++t) {
+        callers.emplace_back([&, t] {
+            for (int r = 0; r < kPlans; ++r) {
+                const int p = (t + r) % kPlans;
+                got[static_cast<std::size_t>(t)].push_back(
+                    shared.run(*plans[p], inputs[p]));
+            }
+        });
+    }
+    for (std::thread &c : callers)
+        c.join();
+    for (int t = 0; t < kCallers; ++t)
+        for (int r = 0; r < kPlans; ++r)
+            EXPECT_TRUE(sameBytes(
+                got[static_cast<std::size_t>(t)]
+                   [static_cast<std::size_t>(r)],
+                serial[(t + r) % kPlans]))
+                << "caller " << t << " run " << r;
+}
+
 TEST(CpuBackendCache, BatchSizesOfOneModelShareWeights)
 {
     core::CompileSession session(device::adreno740(), 1);

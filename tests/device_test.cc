@@ -1,74 +1,16 @@
 /**
  * @file
- * Tests for the simulated device substrate: cache simulator, texture
- * geometry, device presets.
+ * Tests for the simulated device substrate: texture geometry, device
+ * presets.
  */
 #include <gtest/gtest.h>
 
-#include "device/cache_sim.h"
 #include "device/device_profile.h"
 #include "device/texture.h"
 #include "support/error.h"
 
 namespace smartmem::device {
 namespace {
-
-TEST(CacheSim, ColdMissesThenHits)
-{
-    CacheSim cache(1024, 64, 4);
-    EXPECT_FALSE(cache.access(0));
-    EXPECT_TRUE(cache.access(0));
-    EXPECT_TRUE(cache.access(32)); // same line
-    EXPECT_FALSE(cache.access(64)); // next line
-    EXPECT_EQ(cache.misses(), 2u);
-    EXPECT_EQ(cache.accesses(), 4u);
-}
-
-TEST(CacheSim, LruEvictsOldest)
-{
-    // 2 sets x 2 ways x 64B lines = 256B.
-    CacheSim cache(256, 64, 2);
-    // Three lines mapping to the same set (stride = 2 lines).
-    cache.access(0);
-    cache.access(256);
-    cache.access(512); // evicts line 0
-    EXPECT_FALSE(cache.access(0));
-    EXPECT_EQ(cache.misses(), 4u);
-}
-
-TEST(CacheSim, SequentialStreamMissRateMatchesLineSize)
-{
-    CacheSim cache(32 << 10, 64, 4);
-    for (std::uint64_t addr = 0; addr < 64 * 1024; addr += 4)
-        cache.access(addr);
-    // One miss per 64-byte line, 16 accesses per line.
-    EXPECT_NEAR(cache.missRate(), 1.0 / 16.0, 1e-3);
-}
-
-TEST(CacheSim, StridedStreamThrashes)
-{
-    CacheSim cache(4 << 10, 64, 4);
-    // Stride of 256 bytes over a 1 MB range: every access a new line,
-    // and the working set exceeds the cache -> ~100% misses.
-    for (int rep = 0; rep < 4; ++rep)
-        for (std::uint64_t addr = 0; addr < (1u << 20); addr += 256)
-            cache.access(addr);
-    EXPECT_GT(cache.missRate(), 0.99);
-}
-
-TEST(CacheSim, ResetClearsState)
-{
-    CacheSim cache(1024, 64, 2);
-    cache.access(0);
-    cache.reset();
-    EXPECT_EQ(cache.accesses(), 0u);
-    EXPECT_FALSE(cache.access(0));
-}
-
-TEST(CacheSim, RejectsBadGeometry)
-{
-    EXPECT_THROW(CacheSim(1000, 48, 2), smartmem::FatalError);
-}
 
 TEST(Texture, PackedXAxisUsesTexels)
 {

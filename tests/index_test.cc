@@ -123,58 +123,6 @@ TEST(Expr, SimplifyIsValuePreserving_Random)
     }
 }
 
-TEST(Expr, CompiledEvalMatchesRecursiveEval_Random)
-{
-    // CompiledExprs (the backend's per-element evaluator) must agree
-    // with evalExpr on random trees, including Lookup indirection.
-    smartmem::Rng rng(7117);
-    auto table = std::make_shared<const std::vector<std::int64_t>>(
-        std::vector<std::int64_t>{2, 0, 1, 3, 2, 0, 1, 3, 0, 2, 1, 0});
-    for (int trial = 0; trial < 100; ++trial) {
-        std::vector<std::int64_t> extents = {
-            rng.uniformInt(1, 10), rng.uniformInt(1, 10),
-            rng.uniformInt(1, 10)};
-        std::function<Expr(int)> gen = [&](int depth) -> Expr {
-            if (depth == 0 || rng.chance(0.3)) {
-                if (rng.chance(0.5))
-                    return makeVar(static_cast<int>(rng.pickIndex(3)));
-                return makeConst(rng.uniformInt(0, 9));
-            }
-            switch (rng.pickIndex(5)) {
-              case 0:
-                return makeAdd(gen(depth - 1), gen(depth - 1));
-              case 1:
-                return makeMul(gen(depth - 1),
-                               makeConst(rng.uniformInt(1, 9)));
-              case 2:
-                return makeDiv(gen(depth - 1), rng.uniformInt(1, 9));
-              case 3:
-                // Bound the index into the 12-entry table.
-                return makeLookup(table,
-                                  makeMod(gen(depth - 1), 12));
-              default:
-                return makeMod(gen(depth - 1), rng.uniformInt(1, 9));
-            }
-        };
-        std::vector<Expr> exprs = {gen(4), gen(4), gen(4)};
-        auto compiled = CompiledExprs::compile(exprs);
-        ASSERT_EQ(compiled.count(), 3);
-        std::vector<std::int64_t> stack(compiled.stackDepth());
-        for (int pt = 0; pt < 20; ++pt) {
-            std::vector<std::int64_t> vars = {
-                rng.uniformInt(0, extents[0] - 1),
-                rng.uniformInt(0, extents[1] - 1),
-                rng.uniformInt(0, extents[2] - 1)};
-            for (int i = 0; i < 3; ++i) {
-                ASSERT_EQ(compiled.eval(i, vars, stack),
-                          evalExpr(exprs[static_cast<std::size_t>(i)],
-                                   vars))
-                    << exprToString(exprs[static_cast<std::size_t>(i)]);
-            }
-        }
-    }
-}
-
 TEST(Expr, SubstituteReplacesVars)
 {
     Expr e = makeAdd(makeVar(0), makeMul(makeVar(1), makeConst(3)));

@@ -255,12 +255,11 @@ TEST(ServeParity, CoalescedBatchMatchesDirectExecution)
     EXPECT_EQ(server.stats().global.coalesced, 4);
 }
 
-TEST(ServeParity, SharedExecutorServesByteIdenticalOutputs)
+/** Serve four uncoalesced requests of each tiny model under `o` and
+ *  expect every response to equal its direct execution bit for bit. */
+void
+expectByteIdenticalResponses(ServerOptions o)
 {
-    // Both workers run every batch on the device's one executor and
-    // its prepared plans: each response must equal a direct execution
-    // bit for bit.
-    ServerOptions o = baseOptions();
     o.autoStart = false;
     o.coalesce = false;
     InferenceServer server(o);
@@ -289,6 +288,22 @@ TEST(ServeParity, SharedExecutorServesByteIdenticalOutputs)
                 << model << " salt " << salt << " output " << j;
         }
     }
+}
+
+TEST(ServeParity, SharedExecutorServesByteIdenticalOutputs)
+{
+    // Both workers run every batch on the device's one executor and
+    // its prepared plans.
+    expectByteIdenticalResponses(baseOptions());
+}
+
+TEST(ServeParity, MultiThreadedExecutionServesByteIdenticalOutputs)
+{
+    // Workers are plain threads, so at executorThreads = 2 each
+    // execution splits its kernels across the process-wide pool.
+    ServerOptions o = baseOptions();
+    o.executorThreads = 2;
+    expectByteIdenticalResponses(o);
 }
 
 TEST(ServeRouting, UnknownNamesFailWithCatalog)

@@ -237,7 +237,6 @@ TEST(NativeKernelViews, FlatTextureBMatchesUnpackedBitwise)
     ASSERT_EQ(bStr[1], 4); // packed innermost: affine after
                            // normalization, stride 1
 
-    exec::ParallelRunner par(1);
     const TileParams tiles;
     for (SimdLevel lv : exec::availableSimdLevels()) {
         SCOPED_TRACE(exec::simdLevelName(lv));
@@ -249,9 +248,9 @@ TEST(NativeKernelViews, FlatTextureBMatchesUnpackedBitwise)
         exec::MatMutView cv1{cRow.data(), n, 1, 0, nullptr};
         exec::MatMutView cv2{cNat.data(), n, 1, 0, nullptr};
         exec::blockedMatMul(av, bRowMajor, cv1, 1, m, n, kk, false, lv,
-                            tiles, par);
+                            tiles);
         exec::blockedMatMul(av, bNative, cv2, 1, m, n, kk, false, lv,
-                            tiles, par);
+                            tiles);
         EXPECT_EQ(std::memcmp(cRow.data(), cNat.data(),
                               cRow.size() * sizeof(float)),
                   0);
@@ -276,7 +275,6 @@ TEST(NativeKernelViews, PackedBatchDimAMatchesUnpackedBitwise)
         aOff[static_cast<std::size_t>(bi)] =
             ir::physicalOffset({bi, 0, 0}, aShape, aPacked);
 
-    exec::ParallelRunner par(1);
     const TileParams tiles;
     for (SimdLevel lv : exec::availableSimdLevels()) {
         SCOPED_TRACE(exec::simdLevelName(lv));
@@ -291,9 +289,9 @@ TEST(NativeKernelViews, PackedBatchDimAMatchesUnpackedBitwise)
         exec::MatMutView cv1{cRow.data(), n, 1, m * n, nullptr};
         exec::MatMutView cv2{cNat.data(), n, 1, m * n, nullptr};
         exec::blockedMatMul(avRow, bv, cv1, batch, m, n, kk, false, lv,
-                            tiles, par);
+                            tiles);
         exec::blockedMatMul(avNat, bv, cv2, batch, m, n, kk, false, lv,
-                            tiles, par);
+                            tiles);
         EXPECT_EQ(std::memcmp(cRow.data(), cNat.data(),
                               cRow.size() * sizeof(float)),
                   0);
@@ -312,7 +310,6 @@ TEST(NativeKernelViews, FlatTextureCStoreMatchesRowMajorBitwise)
     fill(a, 13);
     fill(b, 17);
 
-    exec::ParallelRunner par(1);
     const TileParams tiles;
     for (SimdLevel lv : exec::availableSimdLevels()) {
         SCOPED_TRACE(exec::simdLevelName(lv));
@@ -324,10 +321,8 @@ TEST(NativeKernelViews, FlatTextureCStoreMatchesRowMajorBitwise)
         exec::MatView bv{b.data(), n, 1, 0, nullptr};
         exec::MatMutView cv1{cRow.data(), n, 1, 0, nullptr};
         exec::MatMutView cv2{cPhys.data(), cStr[0], 1, 0, nullptr};
-        exec::blockedMatMul(av, bv, cv1, 1, m, n, kk, false, lv, tiles,
-                            par);
-        exec::blockedMatMul(av, bv, cv2, 1, m, n, kk, false, lv, tiles,
-                            par);
+        exec::blockedMatMul(av, bv, cv1, 1, m, n, kk, false, lv, tiles);
+        exec::blockedMatMul(av, bv, cv2, 1, m, n, kk, false, lv, tiles);
         const std::vector<float> cBack =
             unpackTensor(cPhys, cShape, cTex);
         EXPECT_EQ(std::memcmp(cRow.data(), cBack.data(),
@@ -369,7 +364,6 @@ TEST(NativeKernelViews, Nc4hw4ConvInputAndOutputMatchBitwise)
     const exec::PlaneLayout olRow =
         exec::PlaneLayout::rowMajor(oc, oh, ow);
 
-    exec::ParallelRunner par(1);
     const TileParams tiles;
     runtime::BufferPool pool;
     for (SimdLevel lv : exec::availableSimdLevels()) {
@@ -382,11 +376,11 @@ TEST(NativeKernelViews, Nc4hw4ConvInputAndOutputMatchBitwise)
         exec::blockedConv2d(x.data(), xlRow, wgt.data(), outRow.data(),
                             olRow, nb, ic, h, w, oc, oh, ow, kh, kw,
                             stride, pad, 1, bias.data(), oc, lv, tiles,
-                            par, pool);
+                            pool);
         exec::blockedConv2d(xPhys.data(), xlNat, wgt.data(),
                             outPhys.data(), olNat, nb, ic, h, w, oc, oh,
                             ow, kh, kw, stride, pad, 1, bias.data(), oc,
-                            lv, tiles, par, pool);
+                            lv, tiles, pool);
         const std::vector<float> outBack =
             unpackTensor(outPhys, oShape, nchw4);
         EXPECT_EQ(std::memcmp(outRow.data(), outBack.data(),
@@ -415,7 +409,6 @@ TEST(NativeKernelViews, DepthwisePackedPlanesMatchBitwise)
     const exec::PlaneLayout olNat{oStr[0], oStr[1], oStr[2], oStr[3],
                                   true};
 
-    exec::ParallelRunner par(1);
     std::vector<float> outRow(
         static_cast<std::size_t>(nb * c * oh * ow), 0.0f);
     std::vector<float> outPhys(
@@ -423,10 +416,10 @@ TEST(NativeKernelViews, DepthwisePackedPlanesMatchBitwise)
     exec::blockedDepthwiseConv2d(
         x.data(), exec::PlaneLayout::rowMajor(c, h, w), wgt.data(),
         outRow.data(), exec::PlaneLayout::rowMajor(c, oh, ow), nb, c, h,
-        w, oh, ow, kh, kw, stride, pad, par);
+        w, oh, ow, kh, kw, stride, pad);
     exec::blockedDepthwiseConv2d(xPhys.data(), xlNat, wgt.data(),
                                  outPhys.data(), olNat, nb, c, h, w, oh,
-                                 ow, kh, kw, stride, pad, par);
+                                 ow, kh, kw, stride, pad);
     const std::vector<float> outBack =
         unpackTensor(outPhys, oShape, nchw4);
     EXPECT_EQ(std::memcmp(outRow.data(), outBack.data(),

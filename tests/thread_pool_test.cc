@@ -1,18 +1,23 @@
 /**
  * @file
- * Unit tests for the support thread pool: FIFO ordering, exception
- * propagation through futures and parallelFor, slot discipline, and
- * the thread-count / budget policy.
+ * Unit tests for the support thread pool and the one parallel loop:
+ * FIFO ordering, exception propagation through futures and
+ * parallelFor, parallelFor's static ranges and nesting rule, and the
+ * thread-count / budget policy.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "support/error.h"
 #include "support/thread_pool.h"
 
 namespace smartmem::support {
@@ -82,48 +87,10 @@ TEST(ThreadPool, WorkerThreadsAreFlagged)
     EXPECT_TRUE(on_worker);
 }
 
-TEST(ThreadPool, DrainWaitsForQueuedAndRunningWork)
-{
-    ThreadPool pool(2);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 16; ++i) {
-        pool.submit([&done] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            ++done;
-        });
-    }
-    pool.drain();
-    // drain() returns only once every submitted task has finished.
-    EXPECT_EQ(done.load(), 16);
-
-    // The pool is still usable afterwards (drain is not shutdown).
-    auto f = pool.submit([&done] { ++done; });
-    f.get();
-    pool.drain();
-    EXPECT_EQ(done.load(), 17);
-}
-
-TEST(ThreadPool, DrainOnIdlePoolReturnsImmediately)
-{
-    ThreadPool pool(2);
-    pool.drain();
-    pool.drain();
-    SUCCEED();
-}
-
-TEST(ThreadPool, DrainFromWorkerThreadIsRefused)
-{
-    // A worker draining the pool it runs on would deadlock waiting on
-    // itself; the guard turns that into an InternalError instead.
-    ThreadPool pool(1);
-    auto f = pool.submit([&pool] { pool.drain(); });
-    EXPECT_THROW(f.get(), InternalError);
-}
-
 TEST(ThreadPool, DestructorRunsAllQueuedTasks)
 {
     // The documented destructor contract: queued-but-unstarted tasks
-    // still run (teardown == drain() + join, never task loss).
+    // still run before the join, never task loss.
     std::atomic<int> done{0};
     {
         ThreadPool pool(1);
@@ -160,13 +127,28 @@ TEST(ThreadCount, DefaultIsAtLeastOne)
     EXPECT_GE(defaultThreadCount(), 1);
 }
 
+/** The [begin, end) ranges one parallelFor call hands its body, in
+ *  ascending order. */
+std::vector<std::pair<std::int64_t, std::int64_t>>
+rangesOf(std::int64_t n, std::int64_t grain)
+{
+    std::mutex mu;
+    std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
+    parallelFor(n, grain, [&](std::int64_t begin, std::int64_t end) {
+        std::lock_guard<std::mutex> lock(mu);
+        ranges.emplace_back(begin, end);
+    });
+    std::sort(ranges.begin(), ranges.end());
+    return ranges;
+}
+
 TEST(ThreadBudget, GuardOverridesAndRestores)
 {
     int before = currentThreadBudget();
     {
         ThreadBudgetGuard guard(1);
         EXPECT_EQ(currentThreadBudget(), 1);
-        EXPECT_EQ(effectiveParallelism(1000), 1);
+        EXPECT_EQ(rangesOf(1000, 1).size(), 1u); // budget 1: inline
         {
             ThreadBudgetGuard inner(3);
             EXPECT_EQ(currentThreadBudget(), 3);
@@ -176,81 +158,106 @@ TEST(ThreadBudget, GuardOverridesAndRestores)
     EXPECT_EQ(currentThreadBudget(), before);
 }
 
-TEST(ParallelFor, CoversEveryIndexExactlyOnce)
+TEST(ThreadBudget, NonPositiveGuardKeepsCurrentBudget)
 {
-    std::vector<std::atomic<int>> hits(257);
-    for (auto &h : hits)
-        h = 0;
-    parallelFor(hits.size(), [&](std::size_t i, int) {
-        ++hits[i];
-    });
-    for (auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
+    ThreadBudgetGuard outer(5);
+    {
+        ThreadBudgetGuard zero(0);
+        EXPECT_EQ(currentThreadBudget(), 5);
+        ThreadBudgetGuard negative(-2);
+        EXPECT_EQ(currentThreadBudget(), 5);
+    }
+    EXPECT_EQ(currentThreadBudget(), 5);
 }
 
-TEST(ParallelFor, SlotsAreWithinRangeAndExclusive)
+TEST(ParallelFor, CoversEveryIndexExactlyOnce)
 {
-    const std::size_t n = 301;
-    const int slots = effectiveParallelism(n);
-    ASSERT_GE(slots, 1);
-    // Record the slot each index ran on; contiguous chunking means
-    // each slot owns one contiguous index range.
-    std::vector<int> slot_of(n, -1);
-    parallelFor(n, [&](std::size_t i, int slot) {
-        slot_of[i] = slot;
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_GE(slot_of[i], 0);
-        ASSERT_LT(slot_of[i], slots);
-        if (i > 0) {
-            EXPECT_LE(slot_of[i - 1], slot_of[i]);
+    const std::int64_t n = 257;
+    for (int budget : {1, 2, 4, 7}) {
+        for (std::int64_t grain : {1, 3, 64}) {
+            SCOPED_TRACE("budget " + std::to_string(budget) + " grain " +
+                         std::to_string(grain));
+            ThreadBudgetGuard guard(budget);
+            std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+            for (auto &h : hits)
+                h = 0;
+            std::atomic<int> calls{0};
+            parallelFor(n, grain, [&](std::int64_t begin, std::int64_t end) {
+                ++calls;
+                EXPECT_LT(begin, end);
+                for (std::int64_t i = begin; i < end; ++i)
+                    ++hits[static_cast<std::size_t>(i)];
+            });
+            for (auto &h : hits)
+                EXPECT_EQ(h.load(), 1);
+            EXPECT_LE(calls.load(),
+                      std::min<std::int64_t>(budget,
+                                             (n + grain - 1) / grain));
         }
     }
 }
 
-TEST(ParallelFor, MatchesSerialAccumulation)
+TEST(ParallelFor, SplitsIntoContiguousRangesOfTheBudget)
 {
-    // Per-slot partial sums recombined in slot order must equal the
-    // serial result (the pattern for per-slot scratch state).
-    const std::size_t n = 1000;
-    const int slots = effectiveParallelism(n);
-    std::vector<long> partial(static_cast<std::size_t>(slots), 0);
-    parallelFor(n, [&](std::size_t i, int slot) {
-        partial[static_cast<std::size_t>(slot)] +=
-            static_cast<long>(i);
-    });
-    long total = 0;
-    for (long p : partial)
-        total += p;
-    EXPECT_EQ(total, static_cast<long>(n * (n - 1) / 2));
+    ThreadBudgetGuard guard(4);
+    using Ranges = std::vector<std::pair<std::int64_t, std::int64_t>>;
+    // min(4, ceil(10 / 2)) = 4 ranges, the first 10 % 4 one longer.
+    const Ranges expected = globalPool() != nullptr
+        ? Ranges{{0, 3}, {3, 6}, {6, 8}, {8, 10}}
+        : Ranges{{0, 10}};
+    EXPECT_EQ(rangesOf(10, 2), expected);
+    EXPECT_TRUE(rangesOf(0, 2).empty());
 }
 
 TEST(ParallelFor, RethrowsLowestChunkException)
 {
-    const std::size_t n = 64;
+    // Budget 4 over 64 indices: ranges [0,16) [16,32) [32,48) [48,64).
+    // Ranges 1 and 3 throw; range 1's exception wins whichever
+    // finishes first (and so does the single inline call without a
+    // global pool, which reaches index 20 first).
+    ThreadBudgetGuard guard(4);
+    const std::int64_t n = 64;
     try {
-        parallelFor(n, [&](std::size_t i, int) {
-            if (i == 0)
-                throw std::runtime_error("first");
-            if (i == n - 1)
-                throw std::runtime_error("last");
+        parallelFor(n, 1, [&](std::int64_t begin, std::int64_t end) {
+            if (begin <= 20 && 20 < end)
+                throw std::runtime_error("range holding 20");
+            if (end == n)
+                throw std::runtime_error("last range");
         });
         FAIL() << "should have rethrown";
     } catch (const std::runtime_error &e) {
-        // Index 0 lives in chunk 0, the lowest-numbered chunk that
-        // threw, so its exception wins deterministically.
-        EXPECT_STREQ(e.what(), "first");
+        EXPECT_STREQ(e.what(), "range holding 20");
     }
 }
 
 TEST(ParallelFor, SerialInsidePoolWorkers)
 {
     ThreadPool pool(2);
-    int nested = -1;
-    pool.submit([&nested] {
-        nested = effectiveParallelism(1000);
+    std::size_t calls = 0;
+    pool.submit([&calls] {
+        ThreadBudgetGuard guard(4);
+        calls = rangesOf(1000, 1).size();
     }).get();
-    EXPECT_EQ(nested, 1); // never re-enters a pool from a worker
+    EXPECT_EQ(calls, 1u); // never re-enters a pool from a worker
+}
+
+TEST(ParallelFor, NestedLoopRunsInlineInsideABody)
+{
+    ThreadBudgetGuard guard(4);
+    std::vector<std::size_t> inner(4, 0);
+    std::vector<int> bodyBudget(4, 0);
+    parallelFor(4, 1, [&](std::int64_t begin, std::int64_t end) {
+        for (std::int64_t i = begin; i < end; ++i) {
+            const auto si = static_cast<std::size_t>(i);
+            bodyBudget[si] = currentThreadBudget();
+            inner[si] = rangesOf(1000, 1).size();
+        }
+    });
+    for (std::size_t i = 0; i < inner.size(); ++i) {
+        EXPECT_EQ(bodyBudget[i], 1);
+        EXPECT_EQ(inner[i], 1u);
+    }
+    EXPECT_EQ(currentThreadBudget(), 4); // restored after the loop
 }
 
 TEST(ParallelMap, ReturnsResultsInIndexOrder)
