@@ -51,12 +51,11 @@ dimContribution(std::int64_t c, std::int64_t stride, bool packed)
 
 /** table[d][c]: offset contribution of coordinate c on dimension d
  *  of `shape` stored in layout `l`. */
-std::vector<std::vector<std::int64_t>>
+DimTables
 dimOffsetTables(const Layout &l, const Shape &shape)
 {
     const auto str = l.strides(shape);
-    std::vector<std::vector<std::int64_t>> t(
-        static_cast<std::size_t>(shape.rank()));
+    DimTables t(static_cast<std::size_t>(shape.rank()));
     for (int d = 0; d < shape.rank(); ++d) {
         auto &td = t[static_cast<std::size_t>(d)];
         td.resize(static_cast<std::size_t>(shape.dim(d)));
@@ -378,17 +377,6 @@ suffixBroadcastModulo(const Shape &os, const Shape &obs)
     }
     return m;
 }
-
-/** One folded element-wise op in a fused epilogue pass. */
-struct EpilogueStep
-{
-    OpKind kind = OpKind::Identity;
-    const Node *node = nullptr;   // for attribute-dependent unaries
-    const float *other = nullptr; // binary right/left operand
-    std::int64_t otherModulo = 1; // other[i % otherModulo]
-    bool reversed = false;        // v = other op v (v was operand 1)
-    bool selfOperand = false;     // v = v op v
-};
 
 /** A value materialized while executing one kernel.  Usually a
  *  row-major scratch view; a kernel whose anchor op stored its result
@@ -751,11 +739,20 @@ class PlanRunner
      *  substitutes through their lowered reads on first use. */
     const float *resolveLocal(const Kernel &k, ValueId v);
 
-    /** Strided view of `v`'s *stored* buffer for layout-native
-     *  consumption, or nullopt when the value must go through
-     *  resolveLocal (already materialized locally, substituted through
-     *  a read map, or stored row-major anyway). */
+    /** `v`'s *stored* buffer for layout-native consumption, or
+     *  nullopt when the value must go through resolveLocal (already
+     *  materialized locally, substituted through a read map, or
+     *  stored row-major anyway). */
+    std::optional<StoredBuf> tryStoredBuf(const Kernel &k, ValueId v);
+
+    /** Strided view of tryStoredBuf's buffer. */
     std::optional<NativeView> tryStoredView(const Kernel &k, ValueId v);
+
+    /** `v` with offset tables for reading it where it is: its stored
+     *  buffer when tryStoredBuf finds one (counted as a native view),
+     *  else its row-major local view. */
+    std::pair<const float *, DimTables> tableView(const Kernel &k,
+                                                  ValueId v);
 
     /** Stride view of the kernel's output layout when the anchor op
      *  may store into it directly: single-node kernel whose node
@@ -765,15 +762,11 @@ class PlanRunner
 
     void runRelayoutKernel(std::size_t ki);
     void runComputeKernel(std::size_t ki);
-    void evalNodeBlocked(const Kernel &k, const Node &node);
+    void runNode(const Kernel &k, const Node &node);
     bool tryFoldEpilogue(const Kernel &k, ValueId cur, const Node &next,
                          EpilogueStep *step);
     void publishOutput(std::size_t ki);
     void releaseDead(std::size_t ki);
-
-    /** Fallback for rare ops: copy row-major locals into reference
-     *  Tensors and reuse exec::evalNode. */
-    void evalViaReference(const Kernel &k, const Node &node);
 
     const PreparedPlan &prep_;
     const ExecutionPlan &plan_;
@@ -893,8 +886,8 @@ PlanRunner::resolveLocal(const Kernel &k, ValueId v)
             std::to_string(v));
 }
 
-std::optional<NativeView>
-PlanRunner::tryStoredView(const Kernel &k, ValueId v)
+std::optional<StoredBuf>
+PlanRunner::tryStoredBuf(const Kernel &k, ValueId v)
 {
     if (locals_.count(v))
         return std::nullopt; // already materialized row-major
@@ -909,7 +902,27 @@ PlanRunner::tryStoredView(const Kernel &k, ValueId v)
         resolveStored(src, k.inputs[static_cast<std::size_t>(idx)].source);
     if (isRowMajorLayout(*s.layout))
         return std::nullopt; // zero-copy row-major path is free
-    return makeNativeView(s.data, *s.layout, shapeOf(v));
+    return s;
+}
+
+std::optional<NativeView>
+PlanRunner::tryStoredView(const Kernel &k, ValueId v)
+{
+    if (auto s = tryStoredBuf(k, v))
+        return makeNativeView(s->data, *s->layout, shapeOf(v));
+    return std::nullopt;
+}
+
+std::pair<const float *, DimTables>
+PlanRunner::tableView(const Kernel &k, ValueId v)
+{
+    const Shape &shape = shapeOf(v);
+    if (auto s = tryStoredBuf(k, v)) {
+        ++stats_.nativeLayoutViews;
+        return {s->data, dimOffsetTables(*s->layout, shape)};
+    }
+    return {resolveLocal(k, v),
+            dimOffsetTables(Layout::rowMajor(shape.rank()), shape)};
 }
 
 std::optional<NativeView>
@@ -962,7 +975,7 @@ PlanRunner::tryFoldEpilogue(const Kernel &k, ValueId cur,
             return false;
         *step = EpilogueStep{};
         step->kind = next.kind;
-        step->node = &next;
+        step->scale = scaleFactor(next);
         return true;
     }
     if (!ir::isBinaryElementwise(next.kind))
@@ -973,7 +986,6 @@ PlanRunner::tryFoldEpilogue(const Kernel &k, ValueId cur,
         return false;
     *step = EpilogueStep{};
     step->kind = next.kind;
-    step->node = &next;
     if (lhs && rhs) {
         step->selfOperand = true;
         return true;
@@ -992,7 +1004,7 @@ PlanRunner::tryFoldEpilogue(const Kernel &k, ValueId cur,
 }
 
 void
-PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
+PlanRunner::runNode(const Kernel &k, const Node &node)
 {
     const Shape &os = shapeOf(node.output);
     switch (ir::opInfo(node.kind).category) {
@@ -1264,7 +1276,8 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
       case ir::OpCategory::Unary: {
         const float *x = resolveLocal(k, node.inputs[0]);
         float *out = alloc(os.numElements());
-        blockedUnary(node.kind, node, x, out, os.numElements());
+        blockedUnary(node.kind, scaleFactor(node), x, out,
+                     os.numElements());
         locals_[node.output] = {out, true};
         return;
       }
@@ -1313,38 +1326,41 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
             locals_[node.output] = {out, true};
             return;
         }
+        if (node.kind == OpKind::Pad) {
+            const auto [x, xt] = tableView(k, node.inputs[0]);
+            float *out = alloc(os.numElements());
+            blockedPad(x, xt, shapeOf(node.inputs[0]),
+                       node.attrs.getInts("pads"), out, os);
+            locals_[node.output] = {out, true};
+            return;
+        }
         break;
-      case ir::OpCategory::Terminal:
       case ir::OpCategory::Reduce:
-      case ir::OpCategory::Pool:
+      case ir::OpCategory::Pool: {
+        const Shape &xs = shapeOf(node.inputs[0]);
+        const auto [x, xt] = tableView(k, node.inputs[0]);
+        float *out = alloc(os.numElements());
+        if (node.kind == OpKind::GlobalAvgPool) {
+            // evalPool's global average is a mean over H and W.
+            blockedReduce(OpKind::ReduceMean, x, xt, xs, {2, 3}, out);
+        } else if (ir::opInfo(node.kind).category ==
+                   ir::OpCategory::Reduce) {
+            blockedReduce(node.kind, x, xt, xs,
+                          node.attrs.getInts("axes"), out);
+        } else {
+            const std::int64_t kernel = node.attrs.getInt("kernel");
+            blockedPool2d(node.kind, x, xt, xs, kernel,
+                          node.attrs.getInt("stride", kernel),
+                          node.attrs.getInt("pad", 0), os, out);
+        }
+        locals_[node.output] = {out, true};
+        return;
+      }
+      case ir::OpCategory::Terminal:
         break;
     }
-    // No blocked kernel for this op yet: run its reference kernel.
-    evalViaReference(k, node);
-}
-
-void
-PlanRunner::evalViaReference(const Kernel &k, const Node &node)
-{
-    std::vector<Tensor> held;
-    held.reserve(node.inputs.size());
-    std::vector<const Tensor *> in_ptrs;
-    for (ValueId vin : node.inputs) {
-        const float *p = resolveLocal(k, vin);
-        Tensor t(shapeOf(vin));
-        std::memcpy(t.data(), p,
-                    static_cast<std::size_t>(t.numElements()) *
-                        sizeof(float));
-        held.push_back(std::move(t));
-    }
-    for (const Tensor &t : held)
-        in_ptrs.push_back(&t);
-    Tensor out = evalNode(graph_, node, in_ptrs);
-    float *buf = alloc(out.numElements());
-    std::memcpy(buf, out.data(),
-                static_cast<std::size_t>(out.numElements()) *
-                    sizeof(float));
-    locals_[node.output] = {buf, true};
+    smPanic("no blocked kernel for " + ir::opKindName(node.kind) +
+            " in " + k.name);
 }
 
 void
@@ -1357,7 +1373,7 @@ PlanRunner::runComputeKernel(std::size_t ki)
     std::size_t i = 0;
     while (i < k.fusedNodes.size()) {
         const Node &node = graph_.node(k.fusedNodes[i]);
-        evalNodeBlocked(k, node);
+        runNode(k, node);
         ValueId cur = node.output;
 
         // Fold the following element-wise chain into one in-place
@@ -1376,26 +1392,8 @@ PlanRunner::runComputeKernel(std::size_t ki)
         if (!steps.empty()) {
             LocalBuf buf = locals_[node.output];
             SM_ASSERT(buf.owned, "epilogue over a borrowed buffer");
-            auto *data = const_cast<float *>(buf.data);
-            const std::int64_t n = shapeOf(node.output).numElements();
-            parallelFor(n, 4096, [&](std::int64_t e0, std::int64_t e1) {
-                for (std::int64_t e = e0; e < e1; ++e) {
-                    float v = data[e];
-                    for (const EpilogueStep &s : steps) {
-                        if (s.other) {
-                            const float o = s.other[e % s.otherModulo];
-                            v = s.reversed
-                                    ? applyBinaryScalar(s.kind, o, v)
-                                    : applyBinaryScalar(s.kind, v, o);
-                        } else if (s.selfOperand) {
-                            v = applyBinaryScalar(s.kind, v, v);
-                        } else {
-                            v = applyUnaryScalar(s.kind, v, *s.node);
-                        }
-                    }
-                    data[e] = v;
-                }
-            });
+            blockedEpilogue(steps, const_cast<float *>(buf.data),
+                            shapeOf(node.output).numElements());
             stats_.fusedEpilogueOps +=
                 static_cast<int>(steps.size());
             locals_.erase(node.output);

@@ -288,12 +288,7 @@ evalPool(const ir::Graph &graph, const Node &node, const Tensor &x)
     Shape out_shape = graph.value(node.output).shape;
     Tensor out(out_shape);
     bool is_max = node.kind == OpKind::MaxPool2d;
-    std::int64_t kernel, stride, pad;
     if (node.kind == OpKind::GlobalAvgPool) {
-        kernel = s.dim(2);
-        stride = 1;
-        pad = 0;
-        SM_REQUIRE(s.dim(2) == s.dim(3) || true, "global pool");
         // Global pool: average over all H, W.
         for (std::int64_t n = 0; n < s.dim(0); ++n) {
             for (std::int64_t c = 0; c < s.dim(1); ++c) {
@@ -307,9 +302,9 @@ evalPool(const ir::Graph &graph, const Node &node, const Tensor &x)
         }
         return out;
     }
-    kernel = node.attrs.getInt("kernel");
-    stride = node.attrs.getInt("stride", kernel);
-    pad = node.attrs.getInt("pad", 0);
+    const std::int64_t kernel = node.attrs.getInt("kernel");
+    const std::int64_t stride = node.attrs.getInt("stride", kernel);
+    const std::int64_t pad = node.attrs.getInt("pad", 0);
     for (std::int64_t n = 0; n < out_shape.dim(0); ++n) {
         for (std::int64_t c = 0; c < out_shape.dim(1); ++c) {
             for (std::int64_t y = 0; y < out_shape.dim(2); ++y) {
@@ -513,8 +508,9 @@ evalNode(const ir::Graph &graph, const Node &node,
 
       case ir::OpCategory::Unary: {
         Tensor out(inputs[0]->shape());
+        const float scale = scaleFactor(node);
         for (std::int64_t i = 0; i < out.numElements(); ++i)
-            out.at(i) = applyUnaryScalar(node.kind, inputs[0]->at(i), node);
+            out.at(i) = applyUnaryScalar(node.kind, inputs[0]->at(i), scale);
         return out;
       }
 

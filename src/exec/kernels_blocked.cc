@@ -22,46 +22,11 @@ namespace smartmem::exec {
 
 using support::parallelFor;
 
-// -------------------------------------------------------------------
-// Scalar op bodies (also the reference kernels' formulas)
-// -------------------------------------------------------------------
-
 float
-applyUnaryScalar(ir::OpKind kind, float x, const ir::Node &node)
+scaleFactor(const ir::Node &node)
 {
-    switch (kind) {
-      case ir::OpKind::Relu:    return x > 0 ? x : 0;
-      case ir::OpKind::Gelu:
-        return 0.5f * x * (1.0f + std::tanh(0.7978845608f *
-                                            (x + 0.044715f * x * x * x)));
-      case ir::OpKind::Silu:    return x / (1.0f + std::exp(-x));
-      case ir::OpKind::Sigmoid: return 1.0f / (1.0f + std::exp(-x));
-      case ir::OpKind::Tanh:    return std::tanh(x);
-      case ir::OpKind::Exp:     return std::exp(x);
-      case ir::OpKind::Sqrt:    return std::sqrt(std::max(x, 0.0f));
-      case ir::OpKind::Neg:     return -x;
-      case ir::OpKind::Identity: return x;
-      case ir::OpKind::Scale: {
-        float s = static_cast<float>(
-            node.attrs.getInt("scale_milli", 1000)) / 1000.0f;
-        return x * s;
-      }
-      default:
-        smPanic("applyUnaryScalar on non-unary kind");
-    }
-}
-
-float
-applyBinaryScalar(ir::OpKind kind, float a, float b)
-{
-    switch (kind) {
-      case ir::OpKind::Add: return a + b;
-      case ir::OpKind::Sub: return a - b;
-      case ir::OpKind::Mul: return a * b;
-      case ir::OpKind::Div: return a / b;
-      default:
-        smPanic("applyBinaryScalar on non-binary kind");
-    }
+    return static_cast<float>(node.attrs.getInt("scale_milli", 1000)) /
+           1000.0f;
 }
 
 // -------------------------------------------------------------------
@@ -964,32 +929,88 @@ blockedDepthwiseConv2d(const float *x, const PlaneLayout &xl,
 
 // -------------------------------------------------------------------
 // Element-wise
+//
+// One loop per kind: the kind is a template argument, so the inline
+// formula compiles to its arithmetic alone, and a caller picks the
+// loop once per call or epilogue step, never per element.
 // -------------------------------------------------------------------
 
+namespace {
+
+/** y[i] = K(x[i]) over [0, n); x may alias y. */
+template <ir::OpKind K>
 void
-blockedUnary(ir::OpKind kind, const ir::Node &node, const float *x,
-             float *y, std::int64_t n)
+unaryLoop(const float *x, float *y, i64 n, float scale)
 {
-    parallelFor(n, 4096, [&](std::int64_t i0, std::int64_t i1) {
-        switch (kind) {
-          case ir::OpKind::Relu:
-            for (std::int64_t i = i0; i < i1; ++i)
-                y[i] = x[i] > 0 ? x[i] : 0;
-            break;
-          case ir::OpKind::Identity:
-            if (y != x)
-                std::memcpy(y + i0, x + i0,
-                            static_cast<std::size_t>(i1 - i0) *
-                                sizeof(float));
-            break;
-          default:
-            for (std::int64_t i = i0; i < i1; ++i)
-                y[i] = applyUnaryScalar(kind, x[i], node);
-        }
-    });
+    for (i64 i = 0; i < n; ++i)
+        y[i] = applyUnaryScalar(K, x[i], scale);
 }
 
-namespace {
+/** y[i] = K(a[i], b[i]) over [0, n) with n > 0, where a scalar
+ *  operand (kScalarA / kScalarB) is its element 0 for every i.  A
+ *  vector operand may alias y; a scalar one never does, so it is read
+ *  once. */
+template <ir::OpKind K, bool kScalarA, bool kScalarB>
+void
+binaryLoop(const float *a, const float *b, float *y, i64 n)
+{
+    const float a0 = kScalarA ? a[0] : 0.0f;
+    const float b0 = kScalarB ? b[0] : 0.0f;
+    for (i64 i = 0; i < n; ++i)
+        y[i] = applyBinaryScalar(K, kScalarA ? a0 : a[i],
+                                 kScalarB ? b0 : b[i]);
+}
+
+using UnaryLoop = void (*)(const float *, float *, i64, float);
+using BinaryLoop = void (*)(const float *, const float *, float *, i64);
+
+/** One binary kind's loops, by which operand is a scalar. */
+struct BinaryLoops
+{
+    BinaryLoop vectors = nullptr;
+    BinaryLoop scalarA = nullptr;
+    BinaryLoop scalarB = nullptr;
+};
+
+template <ir::OpKind K>
+BinaryLoops
+binaryLoops()
+{
+    return {binaryLoop<K, false, false>, binaryLoop<K, true, false>,
+            binaryLoop<K, false, true>};
+}
+
+UnaryLoop
+unaryLoopFor(ir::OpKind kind)
+{
+    switch (kind) {
+      case ir::OpKind::Relu:     return unaryLoop<ir::OpKind::Relu>;
+      case ir::OpKind::Gelu:     return unaryLoop<ir::OpKind::Gelu>;
+      case ir::OpKind::Silu:     return unaryLoop<ir::OpKind::Silu>;
+      case ir::OpKind::Sigmoid:  return unaryLoop<ir::OpKind::Sigmoid>;
+      case ir::OpKind::Tanh:     return unaryLoop<ir::OpKind::Tanh>;
+      case ir::OpKind::Exp:      return unaryLoop<ir::OpKind::Exp>;
+      case ir::OpKind::Sqrt:     return unaryLoop<ir::OpKind::Sqrt>;
+      case ir::OpKind::Neg:      return unaryLoop<ir::OpKind::Neg>;
+      case ir::OpKind::Identity: return unaryLoop<ir::OpKind::Identity>;
+      case ir::OpKind::Scale:    return unaryLoop<ir::OpKind::Scale>;
+      default:
+        smPanic("no unary loop for " + ir::opKindName(kind));
+    }
+}
+
+BinaryLoops
+binaryLoopsFor(ir::OpKind kind)
+{
+    switch (kind) {
+      case ir::OpKind::Add: return binaryLoops<ir::OpKind::Add>();
+      case ir::OpKind::Sub: return binaryLoops<ir::OpKind::Sub>();
+      case ir::OpKind::Mul: return binaryLoops<ir::OpKind::Mul>();
+      case ir::OpKind::Div: return binaryLoops<ir::OpKind::Div>();
+      default:
+        smPanic("no binary loop for " + ir::opKindName(kind));
+    }
+}
 
 /** Row-major strides of `s` broadcast against outShape: 0 where s has
  *  extent 1 or lacks the (leading) dimension. */
@@ -1011,6 +1032,71 @@ broadcastStrides(const ir::Shape &outShape, const ir::Shape &s)
 } // namespace
 
 void
+blockedUnary(ir::OpKind kind, float scale, const float *x, float *y,
+             std::int64_t n)
+{
+    const UnaryLoop loop = unaryLoopFor(kind);
+    parallelFor(n, 4096, [&](std::int64_t i0, std::int64_t i1) {
+        loop(x + i0, y + i0, i1 - i0, scale);
+    });
+}
+
+void
+blockedEpilogue(const std::vector<EpilogueStep> &steps, float *data,
+                std::int64_t n)
+{
+    struct StepLoops
+    {
+        UnaryLoop unary = nullptr; ///< null for a binary step
+        BinaryLoops binary;
+    };
+    std::vector<StepLoops> loops(steps.size());
+    for (std::size_t s = 0; s < steps.size(); ++s) {
+        if (ir::isUnaryElementwise(steps[s].kind))
+            loops[s].unary = unaryLoopFor(steps[s].kind);
+        else
+            loops[s].binary = binaryLoopsFor(steps[s].kind);
+    }
+    // Every step passes over one 4 KiB block while it is in L1.
+    constexpr i64 kBlock = 1024;
+    parallelFor(n, 4096, [&](std::int64_t e0, std::int64_t e1) {
+        for (i64 b0 = e0; b0 < e1; b0 += kBlock) {
+            const i64 len = std::min(kBlock, e1 - b0);
+            float *v = data + b0;
+            for (std::size_t s = 0; s < steps.size(); ++s) {
+                const EpilogueStep &st = steps[s];
+                const StepLoops &lp = loops[s];
+                if (lp.unary != nullptr) {
+                    lp.unary(v, v, len, st.scale);
+                } else if (st.selfOperand) {
+                    lp.binary.vectors(v, v, v, len);
+                } else if (st.otherModulo == 1) {
+                    if (st.reversed)
+                        lp.binary.scalarA(st.other, v, v, len);
+                    else
+                        lp.binary.scalarB(v, st.other, v, len);
+                } else {
+                    // Rows of `other`: only the first run of a block
+                    // can start mid-row.
+                    i64 j = b0 % st.otherModulo;
+                    for (i64 e = 0; e < len;) {
+                        const i64 run =
+                            std::min(len - e, st.otherModulo - j);
+                        const float *o = st.other + j;
+                        if (st.reversed)
+                            lp.binary.vectors(o, v + e, v + e, run);
+                        else
+                            lp.binary.vectors(v + e, o, v + e, run);
+                        e += run;
+                        j = 0;
+                    }
+                }
+            }
+        }
+    });
+}
+
+void
 blockedBinary(ir::OpKind kind, const float *a, const float *b, float *out,
               const ir::Shape &outShape, const ir::Shape &aShape,
               const ir::Shape &bShape)
@@ -1019,24 +1105,9 @@ blockedBinary(ir::OpKind kind, const float *a, const float *b, float *out,
 
     // Fast path: both operands elementwise-identical to the output.
     if (aShape == outShape && bShape == outShape) {
+        const BinaryLoop loop = binaryLoopsFor(kind).vectors;
         parallelFor(n, 4096, [&](std::int64_t i0, std::int64_t i1) {
-            switch (kind) {
-              case ir::OpKind::Add:
-                for (std::int64_t i = i0; i < i1; ++i)
-                    out[i] = a[i] + b[i];
-                break;
-              case ir::OpKind::Sub:
-                for (std::int64_t i = i0; i < i1; ++i)
-                    out[i] = a[i] - b[i];
-                break;
-              case ir::OpKind::Mul:
-                for (std::int64_t i = i0; i < i1; ++i)
-                    out[i] = a[i] * b[i];
-                break;
-              default:
-                for (std::int64_t i = i0; i < i1; ++i)
-                    out[i] = applyBinaryScalar(kind, a[i], b[i]);
-            }
+            loop(a + i0, b + i0, out + i0, i1 - i0);
         });
         return;
     }
@@ -1109,6 +1180,9 @@ blockedLayerNorm(const float *x, const float *gamma,
                  std::int64_t betaLen, float *out, std::int64_t outer,
                  std::int64_t inner)
 {
+    // Row-long gamma and beta (every zoo LayerNorm) index directly.
+    const bool rowLong = (gamma == nullptr || gammaLen == inner) &&
+                         (beta == nullptr || betaLen == inner);
     parallelFor(outer, 1, [&](std::int64_t o0, std::int64_t o1) {
         for (std::int64_t o = o0; o < o1; ++o) {
             const float *xp = x + o * inner;
@@ -1122,6 +1196,17 @@ blockedLayerNorm(const float *x, const float *gamma,
                 var += (xp[i] - mean) * (xp[i] - mean);
             var /= static_cast<float>(inner);
             const float inv = 1.0f / std::sqrt(var + 1e-5f);
+            if (rowLong) {
+                for (std::int64_t i = 0; i < inner; ++i) {
+                    float v = (xp[i] - mean) * inv;
+                    if (gamma)
+                        v *= gamma[i];
+                    if (beta)
+                        v += beta[i];
+                    op[i] = v;
+                }
+                continue;
+            }
             for (std::int64_t i = 0; i < inner; ++i) {
                 float v = (xp[i] - mean) * inv;
                 if (gamma)
@@ -1172,6 +1257,170 @@ blockedBatchNorm(const float *x, const float *scale,
             float *op = out + p * hw;
             for (std::int64_t i = 0; i < hw; ++i)
                 op[i] = xp[i] * g + b;
+        }
+    });
+}
+
+// -------------------------------------------------------------------
+// Reductions, pools and pad: inputs read in place through their
+// offset tables, one output per loop iteration, each accumulated in
+// the reference kernel's order
+// -------------------------------------------------------------------
+
+namespace {
+
+/** Offset of every coordinate tuple over `dims` (ascending dimension
+ *  indices), in row-major order of those dimensions. */
+std::vector<i64>
+tupleOffsets(const DimTables &xt, const std::vector<int> &dims)
+{
+    std::vector<i64> off{0};
+    for (int d : dims) {
+        const std::vector<i64> &t = xt[static_cast<std::size_t>(d)];
+        std::vector<i64> next;
+        next.reserve(off.size() * t.size());
+        for (i64 o : off)
+            for (i64 c : t)
+                next.push_back(o + c);
+        off = std::move(next);
+    }
+    return off;
+}
+
+} // namespace
+
+void
+blockedReduce(ir::OpKind kind, const float *x, const DimTables &xt,
+              const ir::Shape &xs, const std::vector<std::int64_t> &axes,
+              float *out)
+{
+    std::vector<bool> reduced(static_cast<std::size_t>(xs.rank()), false);
+    i64 count = 1; // evalReduce's divisor: one factor per listed axis
+    for (std::int64_t a : axes) {
+        reduced[static_cast<std::size_t>(a)] = true;
+        count *= xs.dim(static_cast<int>(a));
+    }
+    std::vector<int> keptDims, reducedDims;
+    for (int d = 0; d < xs.rank(); ++d)
+        (reduced[static_cast<std::size_t>(d)] ? reducedDims : keptDims)
+            .push_back(d);
+    const std::vector<i64> base = tupleOffsets(xt, keptDims);
+    const std::vector<i64> taps = tupleOffsets(xt, reducedDims);
+    const i64 *tap = taps.data();
+    const i64 nTaps = static_cast<i64>(taps.size());
+    const bool isMax = kind == ir::OpKind::ReduceMax;
+    const bool isMean = kind == ir::OpKind::ReduceMean;
+    parallelFor(static_cast<i64>(base.size()),
+                std::max<i64>(1, 4096 / std::max<i64>(nTaps, 1)),
+                [&](std::int64_t o0, std::int64_t o1) {
+        for (i64 o = o0; o < o1; ++o) {
+            const float *xo = x + base[static_cast<std::size_t>(o)];
+            float acc = isMax ? -1e30f : 0.0f;
+            if (isMax) {
+                for (i64 j = 0; j < nTaps; ++j)
+                    acc = std::max(acc, xo[tap[j]]);
+            } else {
+                for (i64 j = 0; j < nTaps; ++j)
+                    acc += xo[tap[j]];
+            }
+            out[o] = isMean ? acc / static_cast<float>(count) : acc;
+        }
+    });
+}
+
+void
+blockedPool2d(ir::OpKind kind, const float *x, const DimTables &xt,
+              const ir::Shape &xs, std::int64_t kernel,
+              std::int64_t stride, std::int64_t pad, const ir::Shape &os,
+              float *out)
+{
+    const bool isMax = kind == ir::OpKind::MaxPool2d;
+    const i64 c = os.dim(1);
+    const i64 h = xs.dim(2);
+    const i64 w = xs.dim(3);
+    const i64 oh = os.dim(2);
+    const i64 ow = os.dim(3);
+    const i64 *ty = xt[2].data();
+    const i64 *tx = xt[3].data();
+    parallelFor(os.dim(0) * c,
+                std::max<i64>(1, 4096 / (oh * ow * kernel * kernel)),
+                [&](std::int64_t p0, std::int64_t p1) {
+        for (i64 p = p0; p < p1; ++p) {
+            const float *plane =
+                x + xt[0][static_cast<std::size_t>(p / c)] +
+                xt[1][static_cast<std::size_t>(p % c)];
+            float *op = out + p * oh * ow;
+            for (i64 y = 0; y < oh; ++y) {
+                for (i64 xo = 0; xo < ow; ++xo) {
+                    float acc = isMax ? -1e30f : 0.0f;
+                    i64 cnt = 0;
+                    for (i64 dy = 0; dy < kernel; ++dy) {
+                        const i64 iy = y * stride + dy - pad;
+                        if (iy < 0 || iy >= h)
+                            continue;
+                        const float *row = plane + ty[iy];
+                        for (i64 dx = 0; dx < kernel; ++dx) {
+                            const i64 ix = xo * stride + dx - pad;
+                            if (ix < 0 || ix >= w)
+                                continue;
+                            const float v = row[tx[ix]];
+                            acc = isMax ? std::max(acc, v) : acc + v;
+                            ++cnt;
+                        }
+                    }
+                    op[y * ow + xo] =
+                        isMax ? acc
+                              : acc / static_cast<float>(
+                                          std::max<i64>(cnt, 1));
+                }
+            }
+        }
+    });
+}
+
+void
+blockedPad(const float *x, const DimTables &xt, const ir::Shape &xs,
+           const std::vector<std::int64_t> &pads, float *out,
+           const ir::Shape &os)
+{
+    for (std::int64_t p : pads)
+        SM_ASSERT(p >= 0, "pad: negative pad");
+    std::fill(out, out + os.numElements(), 0.0f);
+    if (xs.numElements() == 0)
+        return;
+    const int outer = std::max(xs.rank() - 1, 0);
+    const i64 cols = xs.rank() > 0 ? xs.dim(outer) : 1;
+    const i64 zero = 0;
+    const i64 *inner = xs.rank() > 0 ? xt.back().data() : &zero;
+    const std::vector<i64> ostr = os.rowMajorStrides();
+    i64 origin = 0; // where input coordinate 0 lands
+    for (int d = 0; d < xs.rank(); ++d)
+        origin += pads[static_cast<std::size_t>(2 * d)] *
+                  ostr[static_cast<std::size_t>(d)];
+    parallelFor(xs.numElements() / cols, std::max<i64>(1, 4096 / cols),
+                [&](std::int64_t r0, std::int64_t r1) {
+        std::vector<i64> coord(static_cast<std::size_t>(outer));
+        i64 rem = r0;
+        for (int d = outer; d-- > 0;) {
+            coord[static_cast<std::size_t>(d)] = rem % xs.dim(d);
+            rem /= xs.dim(d);
+        }
+        for (i64 r = r0; r < r1; ++r) {
+            i64 src = 0;
+            i64 dst = origin;
+            for (int d = 0; d < outer; ++d) {
+                const auto du = static_cast<std::size_t>(d);
+                src += xt[du][static_cast<std::size_t>(coord[du])];
+                dst += coord[du] * ostr[du];
+            }
+            for (i64 i = 0; i < cols; ++i)
+                out[dst + i] = x[src + inner[i]];
+            for (int d = outer; d-- > 0;) {
+                const auto du = static_cast<std::size_t>(d);
+                if (++coord[du] < xs.dim(d))
+                    break;
+                coord[du] = 0;
+            }
         }
     });
 }

@@ -5,11 +5,19 @@
  *
  * The element-wise and normalization kernels operate on raw row-major
  * float arrays.  The GEMM and convolution kernels additionally accept
- * strided *views* (MatView / PlaneLayout) so the backend can hand them
- * tensors in the plan's packed (vec4) or texture-order physical
- * layouts directly -- the stride arithmetic that used to live only in
- * relayoutCopy runs in the micro-kernel load/store paths instead of
- * forcing a repack at the kernel boundary.
+ * strided *views* (MatView / PlaneLayout), and the reduction, pooling
+ * and pad kernels per-dimension offset tables (DimTables), so the
+ * backend can hand them tensors in the plan's packed (vec4) or
+ * texture-order physical layouts directly -- the stride arithmetic
+ * that used to live only in relayoutCopy runs in the kernels' load
+ * paths instead of forcing a repack at the kernel boundary.
+ *
+ * Element-wise loops, reductions and pools are plain baseline-ISA
+ * code: they never run under a `target("avx2,fma")` or avx512
+ * attribute, where the compiler could contract a*b+c into an FMA and
+ * change bytes.  They vectorize, if at all, across independent
+ * outputs, so every output sees the reference kernel's operations in
+ * the reference's order.
  *
  * Inner loops dispatch over exec::SimdLevel (AVX2 / AVX-512 / NEON
  * micro-kernels behind runtime CPU detection, see simd_dispatch.h);
@@ -28,10 +36,14 @@
 #ifndef SMARTMEM_EXEC_KERNELS_BLOCKED_H
 #define SMARTMEM_EXEC_KERNELS_BLOCKED_H
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "exec/simd_dispatch.h"
 #include "ir/graph.h"
+#include "support/error.h"
 
 namespace smartmem::runtime {
 class BufferPool;
@@ -185,29 +197,140 @@ void blockedDepthwiseConv2d(const float *x, const PlaneLayout &xl,
                             std::int64_t kw, std::int64_t stride,
                             std::int64_t pad);
 
-/** y[i] = unary(x[i]) over n elements, parallel over ranges.  `node`
- *  supplies attribute-dependent kinds (Scale).  x may alias y. */
-void blockedUnary(ir::OpKind kind, const ir::Node &node, const float *x,
-                  float *y, std::int64_t n);
-
-/** Scalar unary application: the one definition of every unary
- *  kind, shared by the reference kernels and the epilogue fuser. */
-float applyUnaryScalar(ir::OpKind kind, float x, const ir::Node &node);
+/**
+ * Scalar unary application: the one definition of every unary kind,
+ * shared by the reference kernels, blockedUnary and the epilogue
+ * steps.  `scale` is Scale's factor (scaleFactor(node)); other kinds
+ * ignore it.  Inline so that the per-kind loops, which pass a
+ * constant kind, compile to the formula alone.
+ */
+inline float
+applyUnaryScalar(ir::OpKind kind, float x, float scale)
+{
+    switch (kind) {
+      case ir::OpKind::Relu:    return x > 0 ? x : 0;
+      case ir::OpKind::Gelu:
+        return 0.5f * x * (1.0f + std::tanh(0.7978845608f *
+                                            (x + 0.044715f * x * x * x)));
+      case ir::OpKind::Silu:    return x / (1.0f + std::exp(-x));
+      case ir::OpKind::Sigmoid: return 1.0f / (1.0f + std::exp(-x));
+      case ir::OpKind::Tanh:    return std::tanh(x);
+      case ir::OpKind::Exp:     return std::exp(x);
+      case ir::OpKind::Sqrt:    return std::sqrt(std::max(x, 0.0f));
+      case ir::OpKind::Neg:     return -x;
+      case ir::OpKind::Identity: return x;
+      case ir::OpKind::Scale:   return x * scale;
+      default:
+        smPanic("applyUnaryScalar on non-unary kind");
+    }
+}
 
 /** Scalar binary application: the one definition of every binary
- *  kind, shared by the reference kernels and the epilogue fuser. */
-float applyBinaryScalar(ir::OpKind kind, float a, float b);
+ *  kind, shared by the reference kernels, blockedBinary and the
+ *  epilogue steps. */
+inline float
+applyBinaryScalar(ir::OpKind kind, float a, float b)
+{
+    switch (kind) {
+      case ir::OpKind::Add: return a + b;
+      case ir::OpKind::Sub: return a - b;
+      case ir::OpKind::Mul: return a * b;
+      case ir::OpKind::Div: return a / b;
+      default:
+        smPanic("applyBinaryScalar on non-binary kind");
+    }
+}
+
+/** The factor a Scale node multiplies by: its `scale_milli`
+ *  attribute / 1000, or 1 when absent. */
+float scaleFactor(const ir::Node &node);
+
+/** y[i] = unary(x[i]) over n elements, parallel over ranges; `scale`
+ *  as for applyUnaryScalar.  x may alias y. */
+void blockedUnary(ir::OpKind kind, float scale, const float *x, float *y,
+                  std::int64_t n);
 
 /**
- * Broadcast binary out = a op b where `a` has the output shape and
- * `b` broadcasts per bStride: for every output index i the right
- * operand is b[broadcastOffset(i)].  Fast paths: same-shape
- * (linear), scalar, and trailing-suffix broadcast; the generic path
- * walks an odometer.  Parallel over ranges of the output.
+ * Broadcast binary out = a op b over row-major operands whose shapes
+ * broadcast to outShape.  Same-shape operands run the element-wise
+ * loop the epilogue steps use; the general path walks an odometer
+ * with zero strides on broadcast dimensions.  Parallel over ranges of
+ * the output.
  */
 void blockedBinary(ir::OpKind kind, const float *a, const float *b,
                    float *out, const ir::Shape &outShape,
                    const ir::Shape &aShape, const ir::Shape &bShape);
+
+/**
+ * One element-wise op folded into its producer's epilogue: a unary
+ * kind, or a binary kind whose other operand is the value itself
+ * (selfOperand) or `other`, read as other[i % otherModulo] at
+ * row-major index i (1: a scalar; the element count: same shape).
+ */
+struct EpilogueStep
+{
+    ir::OpKind kind = ir::OpKind::Identity;
+    float scale = 1.0f;           ///< Scale's factor
+    const float *other = nullptr; ///< binary operand unless selfOperand
+    std::int64_t otherModulo = 1;
+    bool reversed = false;        ///< v = other op v (v was operand 1)
+    bool selfOperand = false;     ///< v = v op v
+};
+
+/**
+ * Apply `steps` in order to data[0, n) in place.  Each step runs as
+ * one loop over a cache-sized block, chosen once per step by kind and
+ * operand shape; a broadcast operand is walked in rows of
+ * otherModulo, never with a per-element modulo.  Every element sees
+ * the steps' formulas in step order, as applying the nodes one at a
+ * time would, so bytes do not depend on blocking or thread count.
+ * Parallel over ranges.
+ */
+void blockedEpilogue(const std::vector<EpilogueStep> &steps, float *data,
+                     std::int64_t n);
+
+/**
+ * Per-dimension offset tables of a tensor in its stored layout:
+ * element (c_0, ..., c_{r-1}) lives at sum over d of tables[d][c_d].
+ * Every layout with at most one vec4-packed dimension has them, so a
+ * kernel that reads through them reads any stored placement in place.
+ */
+using DimTables = std::vector<std::vector<std::int64_t>>;
+
+/**
+ * ReduceSum / ReduceMean / ReduceMax of x (shape xs, read through its
+ * offset tables) over `axes`, into `out`, row-major over the kept
+ * dimensions.  evalReduce's arithmetic: each output accumulates its
+ * reduced coordinates in ascending row-major order from 0 (sums) or
+ * -1e30f (ReduceMax, with std::max), and ReduceMean divides the
+ * finished sum once by the product of the extents `axes` lists.
+ * Parallel over outputs.
+ */
+void blockedReduce(ir::OpKind kind, const float *x, const DimTables &xt,
+                   const ir::Shape &xs,
+                   const std::vector<std::int64_t> &axes, float *out);
+
+/**
+ * MaxPool2d / AvgPool2d of x [N, C, H, W] (read through its offset
+ * tables) into row-major out [N, C, OH, OW].  evalPool's arithmetic:
+ * per output, the in-range taps in ascending (dy, dx) order; the max
+ * seeds -1e30f, the average divides by the tap count (at least 1).
+ * Parallel over (n, c) planes.
+ */
+void blockedPool2d(ir::OpKind kind, const float *x, const DimTables &xt,
+                   const ir::Shape &xs, std::int64_t kernel,
+                   std::int64_t stride, std::int64_t pad,
+                   const ir::Shape &os, float *out);
+
+/**
+ * Zero padding of x (shape xs, read through its offset tables) into
+ * row-major out (shape os); pads holds (begin, end) per dimension.
+ * Zeroes out, then copies each input row to its begin-shifted place.
+ * Parallel over rows.
+ */
+void blockedPad(const float *x, const DimTables &xt, const ir::Shape &xs,
+                const std::vector<std::int64_t> &pads, float *out,
+                const ir::Shape &os);
 
 /** Softmax over `axis` (reference semantics), parallel over slices. */
 void blockedSoftmax(const float *x, float *out, const ir::Shape &shape,

@@ -3,7 +3,7 @@
  * SIMD dispatch, tile-parameter resolution, and layout-native kernel
  * tests for the blocked CPU backend.
  *
- * Three layers:
+ * Four layers:
  *  - exec/simd_dispatch.h: detection, the SMARTMEM_SIMD override
  *    (including fatal diagnostics for unknown/unavailable levels),
  *    and exec::resolveTileParams() over DeviceProfile calibration.
@@ -16,12 +16,21 @@
  *    at every reachable dispatch level (stages 0 and 3), outputs are
  *    byte-identical across thread counts, and CpuBackendStats report
  *    the active level, resolved tiles, and native-view counters.
+ *  - reductions, pools and pad, which read any stored placement
+ *    through offset tables, and fused element-wise epilogues: their
+ *    outputs equal the reference kernels' bit for bit, in kernel
+ *    calls, in single-op plans, and on special values (signed
+ *    zeros, infinities, NaN, denormals, huge magnitudes).
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -31,11 +40,13 @@
 #include "exec/executor.h"
 #include "exec/kernels_blocked.h"
 #include "exec/simd_dispatch.h"
+#include "ir/graph.h"
 #include "ir/layout.h"
 #include "ir/shape.h"
 #include "models/models.h"
 #include "runtime/memory_pool.h"
 #include "support/error.h"
+#include "support/thread_pool.h"
 #include "simd_env_guard.h"
 
 namespace smartmem {
@@ -428,6 +439,155 @@ TEST(NativeKernelViews, DepthwisePackedPlanesMatchBitwise)
 }
 
 // -------------------------------------------------------------------
+// Reductions, pools and pad: in-place reads, reference bytes
+// -------------------------------------------------------------------
+
+/** One reduction, pool or pad applied to a graph's input `x`. */
+struct TableReadCase
+{
+    std::string name;
+    std::function<ir::ValueId(ir::GraphBuilder &, ir::ValueId)> op;
+};
+
+/** The seven kinds over odd parameters: each reduction over axes {1},
+ *  {3} (the last) and {1, 2} with keepdims 0 and 1, 3x3 pools of
+ *  stride 2 and pad 1, the global pool, and asymmetric pads. */
+std::vector<TableReadCase>
+tableReadCases()
+{
+    using ir::GraphBuilder;
+    using ir::ValueId;
+    std::vector<TableReadCase> cases;
+    for (ir::OpKind kind : {ir::OpKind::ReduceSum, ir::OpKind::ReduceMean,
+                            ir::OpKind::ReduceMax}) {
+        for (const std::vector<std::int64_t> &axes :
+             {std::vector<std::int64_t>{1}, {3}, {1, 2}}) {
+            for (bool keep : {false, true}) {
+                std::string name = ir::opKindName(kind) + " axes";
+                for (std::int64_t a : axes)
+                    name += " " + std::to_string(a);
+                cases.push_back({name + (keep ? " keepdims" : ""),
+                                 [=](GraphBuilder &b, ValueId x) {
+                                     return b.reduce(kind, x, axes, keep);
+                                 }});
+            }
+        }
+    }
+    cases.push_back({"MaxPool2d k3 s2 p1", [](GraphBuilder &b, ValueId x) {
+                         return b.maxPool2d(x, 3, 2, 1);
+                     }});
+    cases.push_back({"AvgPool2d k3 s2 p1", [](GraphBuilder &b, ValueId x) {
+                         return b.avgPool2d(x, 3, 2, 1);
+                     }});
+    cases.push_back({"GlobalAvgPool", [](GraphBuilder &b, ValueId x) {
+                         return b.globalAvgPool(x);
+                     }});
+    cases.push_back({"Pad 0,1 1,0 2,1 0,3", [](GraphBuilder &b, ValueId x) {
+                         return b.pad(x, {0, 1, 1, 0, 2, 1, 0, 3});
+                     }});
+    return cases;
+}
+
+/** Input x of shape xs, the case's op, its result the one output. */
+ir::Graph
+singleOpGraph(const TableReadCase &c, const ir::Shape &xs)
+{
+    ir::GraphBuilder b;
+    b.markOutput(c.op(b, b.input("x", xs)));
+    return b.finish();
+}
+
+/** Offset tables of `shape` stored in `layout`, each entry the
+ *  ir::physicalOffset of a point with one nonzero coordinate. */
+exec::DimTables
+offsetTables(const ir::Shape &shape, const ir::Layout &layout)
+{
+    exec::DimTables t(static_cast<std::size_t>(shape.rank()));
+    for (int d = 0; d < shape.rank(); ++d) {
+        std::vector<std::int64_t> coord(
+            static_cast<std::size_t>(shape.rank()), 0);
+        for (std::int64_t c = 0; c < shape.dim(d); ++c) {
+            coord[static_cast<std::size_t>(d)] = c;
+            t[static_cast<std::size_t>(d)].push_back(
+                ir::physicalOffset(coord, shape, layout));
+        }
+    }
+    return t;
+}
+
+/** `node`'s blocked kernel, called with the arguments the cpu-blocked
+ *  backend decodes from the node. */
+void
+runTableReadKernel(const ir::Graph &g, const ir::Node &node, const float *x,
+             const exec::DimTables &xt, float *out)
+{
+    const ir::Shape &xs = g.value(node.inputs[0]).shape;
+    const ir::Shape &os = g.value(node.output).shape;
+    if (node.kind == ir::OpKind::Pad) {
+        exec::blockedPad(x, xt, xs, node.attrs.getInts("pads"), out, os);
+    } else if (node.kind == ir::OpKind::GlobalAvgPool) {
+        exec::blockedReduce(ir::OpKind::ReduceMean, x, xt, xs, {2, 3},
+                            out);
+    } else if (ir::opInfo(node.kind).category == ir::OpCategory::Reduce) {
+        exec::blockedReduce(node.kind, x, xt, xs,
+                            node.attrs.getInts("axes"), out);
+    } else {
+        const std::int64_t kernel = node.attrs.getInt("kernel");
+        exec::blockedPool2d(node.kind, x, xt, xs, kernel,
+                            node.attrs.getInt("stride", kernel),
+                            node.attrs.getInt("pad", 0), os, out);
+    }
+}
+
+TEST(TableReadKernels, InPlaceReadsMatchReferenceBytes)
+{
+    // Row-major, NC4HW4, and H packed in a texture, the placement tiny
+    // ResNext stores its global pool's input in.
+    const std::vector<ir::Layout> placements = {
+        ir::Layout::rowMajor(4), ir::Layout::packed(4, 1),
+        ir::Layout::texture(4, 1, 3, 2)};
+    // The odd shape, and one large enough to split across 4 threads.
+    for (const ir::Shape &xs :
+         {ir::Shape({2, 6, 7, 5}), ir::Shape({3, 12, 41, 37})}) {
+        std::vector<float> xv(static_cast<std::size_t>(xs.numElements()));
+        fill(xv, 41);
+        exec::Tensor xRow(xs);
+        std::copy(xv.begin(), xv.end(), xRow.data());
+        for (const TableReadCase &c : tableReadCases()) {
+            const ir::Graph g = singleOpGraph(c, xs);
+            const ir::Node &node =
+                g.node(g.value(g.outputIds()[0]).producer);
+            const exec::Tensor ref = exec::evalNode(g, node, {&xRow});
+            const auto bytes =
+                static_cast<std::size_t>(ref.numElements()) * sizeof(float);
+            for (const ir::Layout &layout : placements) {
+                const std::vector<float> xPhys = packTensor(xv, xs, layout);
+                const exec::DimTables xt = offsetTables(xs, layout);
+                // The kernels are baseline code at every level; the
+                // loop pins that.
+                for (SimdLevel lv : exec::availableSimdLevels()) {
+                    SimdEnvGuard guard(exec::simdLevelName(lv));
+                    for (int threads : {1, 4}) {
+                        support::ThreadBudgetGuard budget(threads);
+                        std::vector<float> out(
+                            static_cast<std::size_t>(ref.numElements()),
+                            123.0f);
+                        runTableReadKernel(g, node, xPhys.data(), xt,
+                                           out.data());
+                        EXPECT_EQ(std::memcmp(out.data(), ref.data(), bytes),
+                                  0)
+                            << c.name << " " << xs.toString() << " "
+                            << layout.toString() << " "
+                            << exec::simdLevelName(lv) << " threads "
+                            << threads;
+                    }
+                }
+            }
+        }
+    }
+}
+
+// -------------------------------------------------------------------
 // Backend integration
 // -------------------------------------------------------------------
 
@@ -552,6 +712,221 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name;
     });
+
+// -------------------------------------------------------------------
+// Plans: the cpu-blocked backend against the reference executor, bit
+// for bit
+// -------------------------------------------------------------------
+
+/** Bitwise equality of every output element, any two NaNs equal;
+ *  the message names the first difference. */
+::testing::AssertionResult
+sameBits(const std::vector<exec::Tensor> &ref,
+         const std::vector<exec::Tensor> &got)
+{
+    if (ref.size() != got.size())
+        return ::testing::AssertionFailure() << "output counts differ";
+    for (std::size_t t = 0; t < ref.size(); ++t) {
+        if (ref[t].shape() != got[t].shape())
+            return ::testing::AssertionFailure()
+                   << "output " << t << " shapes differ";
+        for (std::int64_t i = 0; i < ref[t].numElements(); ++i) {
+            const float a = ref[t].at(i);
+            const float b = got[t].at(i);
+            if ((std::isnan(a) && std::isnan(b)) ||
+                std::memcmp(&a, &b, sizeof(float)) == 0)
+                continue;
+            return ::testing::AssertionFailure()
+                   << "output " << t << " element " << i
+                   << ": reference " << a << ", cpu-blocked " << b;
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * Compile `g` at stages 0 and 3 and run each plan on the cpu-blocked
+ * backend at every reachable SIMD level with 1 and 4 threads; every
+ * run must reproduce the reference executor's output bits.  Returns
+ * the stats of the last run, a stage-3 one.
+ */
+exec::CpuBackendStats
+expectReferenceBits(const ir::Graph &g,
+                    const std::map<ir::ValueId, exec::Tensor> &inputs,
+                    const std::string &what)
+{
+    const exec::Executor ex(kSeed);
+    const auto ref = ex.runOutputs(g, inputs);
+    exec::CpuBackendStats stats;
+    for (int stage : {0, 3}) {
+        const auto plan = core::compileStage(g, device::adreno740(), stage);
+        for (SimdLevel lv : exec::availableSimdLevels()) {
+            SimdEnvGuard guard(exec::simdLevelName(lv));
+            for (int threads : {1, 4}) {
+                exec::CpuBackendOptions o;
+                o.threads = threads;
+                o.seed = kSeed;
+                EXPECT_TRUE(
+                    sameBits(ref, exec::CpuBackend(o).run(plan, inputs,
+                                                          &stats)))
+                    << what << " stage " << stage << " "
+                    << exec::simdLevelName(lv) << " threads " << threads;
+            }
+        }
+    }
+    return stats;
+}
+
+TEST(TableReadKernels, SingleOpPlansMatchReferenceBytes)
+{
+    for (const TableReadCase &c : tableReadCases()) {
+        const ir::Graph g = singleOpGraph(c, ir::Shape({2, 6, 7, 5}));
+        expectReferenceBits(
+            g, exec::makeSeededInputs(g, exec::Executor(kSeed)), c.name);
+    }
+}
+
+TEST(TableReadKernels, StoredInputsAreReadInPlace)
+{
+    // A 1x1 conv stores the op's input in the texture layout stage 3
+    // picks for it, and the op reads that buffer in place.  The conv
+    // also feeds a Neg output, an exact sign flip, so the op's bits are
+    // checked against its reference kernel run on exactly that input.
+    for (const TableReadCase &c : tableReadCases()) {
+        ir::GraphBuilder b;
+        const ir::ValueId x = b.input("x", ir::Shape({2, 6, 7, 5}));
+        const ir::ValueId conv =
+            b.conv2d(x, b.constant("w", ir::Shape({6, 6, 1, 1})), 1, 0);
+        b.markOutput(b.unary(ir::OpKind::Neg, conv));
+        b.markOutput(c.op(b, conv));
+        const auto plan =
+            core::compileStage(b.finish(), device::adreno740(), 3);
+        const ir::Graph &g = plan.graph;
+        const ir::Node &node = g.node(g.value(g.outputIds()[1]).producer);
+        const auto inputs = exec::makeSeededInputs(g, exec::Executor(kSeed));
+        for (SimdLevel lv : exec::availableSimdLevels()) {
+            SimdEnvGuard guard(exec::simdLevelName(lv));
+            for (int threads : {1, 4}) {
+                exec::CpuBackendOptions o;
+                o.threads = threads;
+                o.seed = kSeed;
+                exec::CpuBackendStats stats;
+                const auto got = exec::CpuBackend(o).run(plan, inputs, &stats);
+                exec::Tensor opInput = got[0];
+                for (std::int64_t i = 0; i < opInput.numElements(); ++i)
+                    opInput.at(i) = -opInput.at(i);
+                EXPECT_TRUE(sameBits({exec::evalNode(g, node, {&opInput})},
+                                     {got[1]}))
+                    << c.name << " " << exec::simdLevelName(lv)
+                    << " threads " << threads;
+                // The op's read is the run's one native view.
+                EXPECT_EQ(stats.nativeLayoutViews, 1) << c.name;
+            }
+        }
+    }
+}
+
+/** Signed zeros, infinities, NaN, denormals and huge magnitudes, with
+ *  ordinary values between them. */
+const std::vector<float> &
+specialValues()
+{
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    static const std::vector<float> values = {
+        0.0f,   -0.0f, kInf,   -kInf,  std::nanf(""), 1e-40f, -3e-42f,
+        3e38f,  -3e38f, -1e31f, 1.5f,   -0.75f,        2.0f,   -3.0f,
+        0.25f};
+    return values;
+}
+
+/** Every graph input filled from specialValues(), each input starting
+ *  at another offset so that operands pair up differently. */
+std::map<ir::ValueId, exec::Tensor>
+specialInputs(const ir::Graph &g)
+{
+    const std::vector<float> &sv = specialValues();
+    std::map<ir::ValueId, exec::Tensor> inputs;
+    for (std::size_t k = 0; k < g.inputIds().size(); ++k) {
+        const ir::ValueId id = g.inputIds()[k];
+        exec::Tensor t(g.value(id).shape);
+        for (std::int64_t i = 0; i < t.numElements(); ++i)
+            t.at(i) = sv[static_cast<std::size_t>(i * 7 + 4 * k) % sv.size()];
+        inputs.emplace(id, std::move(t));
+    }
+    return inputs;
+}
+
+TEST(SpecialValues, EpilogueStepsMatchReferenceBits)
+{
+    // Relu anchors one kernel; its epilogue is a reversed Sub with a
+    // broadcast operand of period 5, Gelu, and a self-operand Mul.
+    {
+        ir::GraphBuilder b;
+        const ir::ValueId x = b.input("x", ir::Shape({2, 3, 5}));
+        const ir::ValueId y = b.input("y", ir::Shape({5}));
+        const ir::ValueId r = b.unary(ir::OpKind::Relu, x);
+        const ir::ValueId s = b.binary(ir::OpKind::Sub, y, r);
+        const ir::ValueId gl = b.unary(ir::OpKind::Gelu, s);
+        b.markOutput(b.binary(ir::OpKind::Mul, gl, gl));
+        const ir::Graph g = b.finish();
+        EXPECT_EQ(expectReferenceBits(g, specialInputs(g), "Relu chain")
+                      .fusedEpilogueOps,
+                  3);
+    }
+    // Every other unary kind, a scalar Div, a same-shape reversed Add
+    // and a broadcast Mul of period 15.
+    {
+        ir::GraphBuilder b;
+        const ir::ValueId x = b.input("x", ir::Shape({2, 3, 5}));
+        const ir::ValueId s = b.input("s", ir::Shape({1}));
+        const ir::ValueId z = b.input("z", ir::Shape({2, 3, 5}));
+        const ir::ValueId w = b.input("w", ir::Shape({3, 5}));
+        ir::ValueId v = b.unary(ir::OpKind::Neg, x);
+        v = b.binary(ir::OpKind::Div, v, s);
+        v = b.binary(ir::OpKind::Add, z, v);
+        v = b.unary(ir::OpKind::Sqrt, v);
+        v = b.binary(ir::OpKind::Mul, v, w);
+        ir::Attrs scale;
+        scale.set("scale_milli", 2500);
+        v = b.addNode(ir::OpKind::Scale, {v}, scale);
+        for (ir::OpKind kind : {ir::OpKind::Silu, ir::OpKind::Sigmoid,
+                                ir::OpKind::Tanh, ir::OpKind::Exp})
+            v = b.unary(kind, v);
+        b.markOutput(v);
+        const ir::Graph g = b.finish();
+        EXPECT_EQ(expectReferenceBits(g, specialInputs(g), "Neg chain")
+                      .fusedEpilogueOps,
+                  9);
+    }
+}
+
+TEST(SpecialValues, ReductionsPoolsAndPadMatchReferenceBits)
+{
+    for (const TableReadCase &c : tableReadCases()) {
+        const ir::Graph g = singleOpGraph(c, ir::Shape({2, 6, 7, 5}));
+        expectReferenceBits(g, specialInputs(g), c.name);
+    }
+}
+
+TEST(SpecialValues, AllNegativeInfinityRowMaxIsTheSeed)
+{
+    // ReduceMax seeds -1e30f, so a row of -inf reads -1e30 on both
+    // backends (the seed's semantics, pinned as they are today).
+    ir::GraphBuilder b;
+    const ir::ValueId x = b.input("x", ir::Shape({2, 4}));
+    b.markOutput(b.reduce(ir::OpKind::ReduceMax, x, {1}, false));
+    const ir::Graph g = b.finish();
+    auto inputs = specialInputs(g);
+    exec::Tensor &xt = inputs.begin()->second;
+    for (std::int64_t i = 0; i < 4; ++i)
+        xt.at(i) = -std::numeric_limits<float>::infinity();
+    expectReferenceBits(g, inputs, "ReduceMax");
+    exec::CpuBackendOptions o;
+    o.seed = kSeed;
+    const auto got = exec::CpuBackend(o).run(
+        core::compileStage(g, device::adreno740(), 3), inputs);
+    EXPECT_EQ(got[0].at(0), -1e30f);
+}
 
 } // namespace
 } // namespace smartmem
