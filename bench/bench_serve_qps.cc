@@ -9,8 +9,10 @@
  * never self-throttles), so at saturation the admission queue fills
  * and the rejection counter -- not a silently stretched schedule --
  * shows the overload.  Latencies are the server-reported per-request
- * totals (admission to response), so they include queueing and the
- * batching deadline.
+ * totals (admission to response), so they include queueing.  The
+ * server never holds a request for company: a free worker runs the
+ * queue head with the same-model requests already queued, so the
+ * "on" arm batches only what queues while every worker executes.
  *
  * Modes:
  *   default          sweep --qps levels, coalescing both on and off,
@@ -69,7 +71,6 @@ struct ServeArgs
     std::vector<std::string> models = {"tiny:Swin", "tiny:ViT",
                                        "tiny:ResNext"};
     int maxBatch = 8;
-    double deadlineMs = 4.0;
     int workers = 2;
     int queueCap = 256;
     std::string coalesce = "both"; ///< on | off | both
@@ -84,8 +85,8 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [--qps CSV] [--duration-ms N] [--models CSV]\n"
-        "          [--max-batch N] [--deadline-ms X] [--workers N]\n"
-        "          [--queue-cap N] [--coalesce on|off|both]\n"
+        "          [--max-batch N] [--workers N] [--queue-cap N]\n"
+        "          [--coalesce on|off|both]\n"
         "          [--smoke] [--verify] [--assert-coalesce-gain]\n"
         "          [shared bench flags: --device/--device-file/"
         "--threads/--repeat/--json]\n",
@@ -150,8 +151,6 @@ extractServeArgs(int argc, char **argv, std::vector<char *> &rest)
         } else if (arg == "--max-batch" && i + 1 < argc) {
             sa.maxBatch =
                 bench::parseIntFlag("--max-batch", argv[++i], 1);
-        } else if (arg == "--deadline-ms" && i + 1 < argc) {
-            sa.deadlineMs = parseDoubleFlag("--deadline-ms", argv[++i]);
         } else if (arg == "--workers" && i + 1 < argc) {
             sa.workers = bench::parseIntFlag("--workers", argv[++i], 1);
         } else if (arg == "--queue-cap" && i + 1 < argc) {
@@ -275,7 +274,6 @@ makeServerOptions(const ServeArgs &sa,
     so.workers = sa.workers;
     so.queueCapacity = static_cast<std::size_t>(sa.queueCap);
     so.maxBatch = sa.maxBatch;
-    so.batchDeadlineMs = sa.deadlineMs;
     so.coalesce = coalesce;
     so.models = &servingRegistry();
     return so;
@@ -406,7 +404,6 @@ main(int argc, char **argv)
         // response verifies.
         sa.qps = {400};
         sa.maxBatch = 4;
-        sa.deadlineMs = 5.0;
         sa.coalesce = "on";
     }
 

@@ -13,6 +13,7 @@
  */
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "exec/executor.h"
 #include "exec/kernels_blocked.h"
@@ -249,7 +250,7 @@ evalReduce(const ir::Graph &graph, const Node &node, const Tensor &x)
     bool is_max = node.kind == OpKind::ReduceMax;
     if (is_max) {
         for (std::int64_t i = 0; i < out.numElements(); ++i)
-            out.at(i) = -1e30f;
+            out.at(i) = -std::numeric_limits<float>::infinity();
     }
     std::int64_t reduce_count = 1;
     for (auto a : axes)
@@ -309,7 +310,9 @@ evalPool(const ir::Graph &graph, const Node &node, const Tensor &x)
         for (std::int64_t c = 0; c < out_shape.dim(1); ++c) {
             for (std::int64_t y = 0; y < out_shape.dim(2); ++y) {
                 for (std::int64_t xo = 0; xo < out_shape.dim(3); ++xo) {
-                    float acc = is_max ? -1e30f : 0.0f;
+                    float acc = is_max
+                        ? -std::numeric_limits<float>::infinity()
+                        : 0.0f;
                     std::int64_t cnt = 0;
                     for (std::int64_t dy = 0; dy < kernel; ++dy) {
                         std::int64_t iy = y * stride + dy - pad;

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "device/device_profile.h"
@@ -1315,7 +1316,8 @@ blockedReduce(ir::OpKind kind, const float *x, const DimTables &xt,
                 [&](std::int64_t o0, std::int64_t o1) {
         for (i64 o = o0; o < o1; ++o) {
             const float *xo = x + base[static_cast<std::size_t>(o)];
-            float acc = isMax ? -1e30f : 0.0f;
+            float acc =
+                isMax ? -std::numeric_limits<float>::infinity() : 0.0f;
             if (isMax) {
                 for (i64 j = 0; j < nTaps; ++j)
                     acc = std::max(acc, xo[tap[j]]);
@@ -1352,7 +1354,9 @@ blockedPool2d(ir::OpKind kind, const float *x, const DimTables &xt,
             float *op = out + p * oh * ow;
             for (i64 y = 0; y < oh; ++y) {
                 for (i64 xo = 0; xo < ow; ++xo) {
-                    float acc = isMax ? -1e30f : 0.0f;
+                    float acc = isMax
+                        ? -std::numeric_limits<float>::infinity()
+                        : 0.0f;
                     i64 cnt = 0;
                     for (i64 dy = 0; dy < kernel; ++dy) {
                         const i64 iy = y * stride + dy - pad;

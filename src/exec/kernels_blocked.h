@@ -302,7 +302,7 @@ using DimTables = std::vector<std::vector<std::int64_t>>;
  * offset tables) over `axes`, into `out`, row-major over the kept
  * dimensions.  evalReduce's arithmetic: each output accumulates its
  * reduced coordinates in ascending row-major order from 0 (sums) or
- * -1e30f (ReduceMax, with std::max), and ReduceMean divides the
+ * -inf (ReduceMax, with std::max), and ReduceMean divides the
  * finished sum once by the product of the extents `axes` lists.
  * Parallel over outputs.
  */
@@ -314,7 +314,7 @@ void blockedReduce(ir::OpKind kind, const float *x, const DimTables &xt,
  * MaxPool2d / AvgPool2d of x [N, C, H, W] (read through its offset
  * tables) into row-major out [N, C, OH, OW].  evalPool's arithmetic:
  * per output, the in-range taps in ascending (dy, dx) order; the max
- * seeds -1e30f, the average divides by the tap count (at least 1).
+ * seeds -inf, the average divides by the tap count (at least 1).
  * Parallel over (n, c) planes.
  */
 void blockedPool2d(ir::OpKind kind, const float *x, const DimTables &xt,

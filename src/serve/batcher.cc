@@ -18,21 +18,16 @@ AdmissionQueue::push(QueuedRequest &&q)
             return false;
         queue_.push_back(std::move(q));
     }
-    // All waiters: popBatch blocks on two different predicates (queue
-    // non-empty, and same-key arrivals during a deadline wait).
-    cv_.notify_all();
+    // popBatch waits only for a non-empty queue, so one waiter
+    // suffices.
+    cv_.notify_one();
     return true;
 }
 
 std::vector<QueuedRequest>
-AdmissionQueue::popBatch(int maxBatch, double deadlineMs)
+AdmissionQueue::popBatch(int maxBatch)
 {
     SM_REQUIRE(maxBatch >= 1, "popBatch requires maxBatch >= 1");
-    const auto deadlineDelta =
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double, std::milli>(
-                deadlineMs > 0 ? deadlineMs : 0));
-
     std::vector<QueuedRequest> batch;
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
@@ -44,30 +39,17 @@ AdmissionQueue::popBatch(int maxBatch, double deadlineMs)
     // By value: growing `batch` reallocates, so a reference into it
     // would dangle after the first coalesced push_back.
     const BatchKey key = batch.front().key;
-    const auto deadline = batch.front().enqueueTime + deadlineDelta;
-
-    for (;;) {
-        // Gather queued same-key requests (other keys keep their FIFO
-        // positions for other popBatch calls).
-        for (auto it = queue_.begin();
-             it != queue_.end() &&
-             batch.size() < static_cast<std::size_t>(maxBatch);) {
-            if (it->key == key) {
-                batch.push_back(std::move(*it));
-                it = queue_.erase(it);
-            } else {
-                ++it;
-            }
+    // Gather the same-key requests already queued; other keys keep
+    // their FIFO positions for other popBatch calls.
+    for (auto it = queue_.begin();
+         it != queue_.end() &&
+         batch.size() < static_cast<std::size_t>(maxBatch);) {
+        if (it->key == key) {
+            batch.push_back(std::move(*it));
+            it = queue_.erase(it);
+        } else {
+            ++it;
         }
-        if (batch.size() >= static_cast<std::size_t>(maxBatch))
-            break;
-        if (deadlineMs <= 0 || closed_)
-            break;
-        if (std::chrono::steady_clock::now() >= deadline)
-            break;
-        // Wait for more same-key arrivals (or close) until the head's
-        // deadline; spurious wakeups just re-run the gather loop.
-        cv_.wait_until(lock, deadline);
     }
     return batch;
 }

@@ -6,12 +6,11 @@
  * workers.  Admission is bounded (push() fails when full -- the
  * server turns that into a typed Rejected response, never a silent
  * drop).  Workers pop *batches*: popBatch() takes the FIFO head, then
- * gathers queued requests with the same BatchKey -- (model, device
- * fingerprint, compiler, stage) -- until the batch reaches maxBatch
- * or the head request's age reaches the batch deadline.  The deadline
- * is anchored at the head's admission time, so a request never waits
- * more than deadlineMs for co-batching on top of its queue time, and
- * a deadline of 0 disables coalescing waits entirely.
+ * gathers the requests already queued with the same BatchKey --
+ * (model, device fingerprint, compiler, stage) -- up to maxBatch.  It
+ * is work-conserving: a worker waits only for a non-empty queue, never
+ * for company, so a lone request runs at once.  Batches form under
+ * load, from the requests that queue while every worker is executing.
  *
  * Multiple workers can sit in popBatch() concurrently; each pops a
  * disjoint set of requests, so distinct keys batch in parallel.
@@ -69,15 +68,12 @@ class AdmissionQueue
     bool push(QueuedRequest &&q);
 
     /**
-     * Pop the next batch: the FIFO head plus up to maxBatch-1 queued
-     * same-key requests, waiting until the head's age reaches
-     * deadlineMs for more to arrive (maxBatch reached earlier cuts
-     * the wait short; close() cuts every wait short).  Blocks while
-     * the queue is empty and open.  Returns an empty vector exactly
-     * once the queue is closed and fully drained.
+     * Pop the next batch: the FIFO head plus up to maxBatch-1 same-key
+     * requests already queued, in FIFO order; never waits for more to
+     * arrive.  Blocks while the queue is empty and open.  Returns an
+     * empty vector exactly once the queue is closed and fully drained.
      */
-    std::vector<QueuedRequest> popBatch(int maxBatch,
-                                        double deadlineMs);
+    std::vector<QueuedRequest> popBatch(int maxBatch);
 
     /** Stop admission; workers drain what is queued, then popBatch
      *  returns empty. */

@@ -305,11 +305,8 @@ void
 InferenceServer::workerLoop()
 {
     const int maxBatch = options_.coalesce ? options_.maxBatch : 1;
-    const double deadline =
-        options_.coalesce ? options_.batchDeadlineMs : 0.0;
     for (;;) {
-        std::vector<QueuedRequest> batch =
-            queue_.popBatch(maxBatch, deadline);
+        std::vector<QueuedRequest> batch = queue_.popBatch(maxBatch);
         if (batch.empty())
             return; // closed and drained
         execute(std::move(batch));

@@ -27,21 +27,24 @@
  * or answers Rejected when the bounded queue is full (backpressure) --
  * every request gets exactly one typed response, never a silent drop.
  *
- * Workers coalesce same-key requests up to maxBatch / batchDeadlineMs
- * (see AdmissionQueue), compile a batch-k plan through the per-device
- * CompileSession -- so re-planning per coalesced batch size is a plan
- * cache hit after the first occurrence, and concurrent first
- * occurrences are single-flight -- stack the requests' inputs along
- * the batch dimension, execute once on the device's shared executor,
- * and slice the outputs back into per-request responses.  Workers are
- * plain threads, so an execution with executorThreads > 1 splits its
- * kernels across the process-wide support::globalPool().  The shared
- * executor keeps its preparations for the life of the server, so each
- * keyed batch-k plan is prepared (constants resolved, reads lowered)
- * once per server, and the batch sizes of one model share its
- * weights.  Sources that cannot rebuild at batch k (fixed-batch
- * `.smgraph` files) or whose shapes do not stack fall back to
- * per-request batch-1 execution of the same group.
+ * A free worker pops the queue head together with the same-key
+ * requests already queued, up to maxBatch, and never waits for more
+ * (see AdmissionQueue): batches form from the requests that queue
+ * while every worker is executing.  The worker compiles a batch-k
+ * plan through the per-device CompileSession -- so re-planning per
+ * coalesced batch size is a plan cache hit after the first
+ * occurrence, and concurrent first occurrences are single-flight --
+ * stacks the requests' inputs along the batch dimension, executes
+ * once on the device's shared executor, and slices the outputs back
+ * into per-request responses.  Workers are plain threads, so an
+ * execution with executorThreads > 1 splits its kernels across the
+ * process-wide support::globalPool().  The shared executor keeps its
+ * preparations for the life of the server, so each keyed batch-k plan
+ * is prepared (constants resolved, reads lowered) once per server,
+ * and the batch sizes of one model share its weights.  Sources that
+ * cannot rebuild at batch k (fixed-batch `.smgraph` files) or whose
+ * shapes do not stack fall back to per-request batch-1 execution of
+ * the same group.
  */
 #ifndef SMARTMEM_SERVE_SERVER_H
 #define SMARTMEM_SERVE_SERVER_H
@@ -84,12 +87,8 @@ struct ServerOptions
     /** Largest coalesced batch (1 disables coalescing). */
     int maxBatch = 8;
 
-    /** How long the batch head waits for same-key company, ms
-     *  (0 disables coalescing waits). */
-    double batchDeadlineMs = 2.0;
-
-    /** Master switch for coalescing (false forces batch size 1 with
-     *  no deadline waits, for A/B comparison). */
+    /** Master switch for coalescing (false forces batch size 1, for
+     *  A/B comparison). */
     bool coalesce = true;
 
     /** Execution backend registry name (runtime::makeExecutor). */

@@ -1,19 +1,25 @@
 /**
  * @file
  * Tests for the inference serving layer: request routing off the
- * registries, dynamic batching (deadline expiry, max-batch overflow,
- * key separation), backpressure, numeric parity of coalesced
- * execution against direct batch-1 runs, shutdown semantics, and the
+ * registries, the admission queue's work-conserving pop, dynamic
+ * batching (max-batch overflow, key separation), backpressure,
+ * numeric parity of coalesced execution against direct batch-1 runs,
+ * shutdown semantics (including submits racing a shutdown), and the
  * stats lifecycle invariant.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <future>
 #include <memory>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/compile_session.h"
@@ -106,24 +112,76 @@ TEST(ServeSingle, MatchesDirectExecution)
     EXPECT_GT(r.totalMs, 0.0);
 }
 
-TEST(ServeBatching, DeadlineExpiryServesSingleRequest)
+/** A queued request of `model`, tagged by its salt. */
+QueuedRequest
+queued(const std::string &model, std::uint64_t tag)
 {
-    // One queued request and nobody else coming: the worker waits out
-    // the batch deadline, then executes the singleton batch.
-    ServerOptions o = baseOptions();
-    o.maxBatch = 8;
-    o.batchDeadlineMs = 60.0;
-    InferenceServer server(o);
-    auto f = server.submit(tinyRequest("tiny:ViT"));
-    InferenceResponse r = f.get();
-    ASSERT_EQ(r.status, ResponseStatus::Ok) << r.error;
-    EXPECT_EQ(r.batchSize, 1);
-    // The head anchored the deadline at admission: the request waited
-    // for company that never arrived.
-    EXPECT_GE(r.totalMs, 30.0);
-    auto st = server.stats();
-    EXPECT_EQ(st.global.batchHistogram.at(1), 1);
-    EXPECT_EQ(st.global.coalesced, 0);
+    QueuedRequest q;
+    q.request = tinyRequest(model, tag);
+    q.key = BatchKey{model, "dev", "smartmem", -1};
+    return q;
+}
+
+/** popBatch on a helper thread; fails (closing the queue so the pop
+ *  returns) instead of hanging when it blocks for 5 s. */
+std::vector<QueuedRequest>
+popWithin5s(AdmissionQueue &queue, int maxBatch)
+{
+    auto pop = std::async(std::launch::async,
+                          [&] { return queue.popBatch(maxBatch); });
+    if (pop.wait_for(std::chrono::seconds(5)) !=
+        std::future_status::ready) {
+        ADD_FAILURE() << "popBatch still blocked after 5 s";
+        queue.close();
+    }
+    return pop.get();
+}
+
+/** A popped batch as key model + tag ("A1"), in batch order. */
+std::vector<std::string>
+names(const std::vector<QueuedRequest> &batch)
+{
+    std::vector<std::string> out;
+    for (const QueuedRequest &q : batch)
+        out.push_back(q.key.model + std::to_string(q.request.inputSalt));
+    return out;
+}
+
+using Names = std::vector<std::string>;
+
+TEST(AdmissionQueue, LoneRequestPopsAtOnceAsBatchOfOne)
+{
+    // Nobody else is coming: a free worker never waits for company.
+    AdmissionQueue queue(8);
+    ASSERT_TRUE(queue.push(queued("A", 1)));
+    EXPECT_EQ(names(popWithin5s(queue, 8)), Names({"A1"}));
+    EXPECT_EQ(queue.size(), 0u);
+}
+
+TEST(AdmissionQueue, GathersQueuedSameKeyRequestsInFifoOrder)
+{
+    // A1 B1 A2 A3 B2 A4 under maxBatch 3: the head takes the queued
+    // same-key requests up to the bound; B keeps its place.
+    AdmissionQueue queue(8);
+    for (const auto &[model, tag] :
+         std::vector<std::pair<std::string, std::uint64_t>>{
+             {"A", 1}, {"B", 1}, {"A", 2}, {"A", 3}, {"B", 2}, {"A", 4}})
+        ASSERT_TRUE(queue.push(queued(model, tag)));
+    EXPECT_EQ(names(popWithin5s(queue, 3)), Names({"A1", "A2", "A3"}));
+    EXPECT_EQ(names(popWithin5s(queue, 3)), Names({"B1", "B2"}));
+    EXPECT_EQ(names(popWithin5s(queue, 3)), Names({"A4"}));
+    EXPECT_EQ(queue.size(), 0u);
+}
+
+TEST(AdmissionQueue, ClosedQueueDrainsThenPopsEmptyAndRefusesPush)
+{
+    AdmissionQueue queue(8);
+    ASSERT_TRUE(queue.push(queued("A", 1)));
+    queue.close();
+    EXPECT_EQ(names(popWithin5s(queue, 8)), Names({"A1"}));
+    EXPECT_TRUE(popWithin5s(queue, 8).empty());
+    EXPECT_FALSE(queue.push(queued("A", 2)));
+    EXPECT_EQ(queue.size(), 0u);
 }
 
 TEST(ServeBatching, MaxBatchOverflowSplitsIntoTwoBatches)
@@ -132,7 +190,6 @@ TEST(ServeBatching, MaxBatchOverflowSplitsIntoTwoBatches)
     o.autoStart = false;
     o.workers = 1;
     o.maxBatch = 4;
-    o.batchDeadlineMs = 20.0;
     InferenceServer server(o);
     std::vector<std::future<InferenceResponse>> futures;
     for (int i = 0; i < 6; ++i)
@@ -162,7 +219,6 @@ TEST(ServeBatching, MixedModelsNeverCoalesce)
     o.autoStart = false;
     o.workers = 1;
     o.maxBatch = 8;
-    o.batchDeadlineMs = 20.0;
     InferenceServer server(o);
     std::vector<std::future<InferenceResponse>> futures;
     for (int i = 0; i < 3; ++i) {
@@ -187,7 +243,6 @@ TEST(ServeBatching, MixedDevicesNeverCoalesce)
     o.autoStart = false;
     o.workers = 1;
     o.maxBatch = 8;
-    o.batchDeadlineMs = 20.0;
     InferenceServer server(o);
     std::vector<std::future<InferenceResponse>> futures;
     for (int i = 0; i < 2; ++i) {
@@ -235,7 +290,6 @@ TEST(ServeParity, CoalescedBatchMatchesDirectExecution)
     o.autoStart = false;
     o.workers = 1;
     o.maxBatch = 4;
-    o.batchDeadlineMs = 20.0;
     InferenceServer server(o);
     std::vector<std::future<InferenceResponse>> futures;
     for (std::uint64_t salt = 0; salt < 4; ++salt)
@@ -373,7 +427,6 @@ TEST(ServeRouting, GraphFileRequestsFallBackToSingles)
     o.autoStart = false;
     o.workers = 1;
     o.maxBatch = 4;
-    o.batchDeadlineMs = 20.0;
     InferenceServer server(o);
     auto f1 = server.submit(tinyRequest("@" + path, 1));
     auto f2 = server.submit(tinyRequest("@" + path, 2));
@@ -461,6 +514,89 @@ TEST(ServeShutdown, NoDrainAnswersShuttingDown)
     EXPECT_EQ(st.global.submitted, 6);
 }
 
+TEST(ServeShutdown, RacingSubmitAndShutdownAnswersEveryRequestOnce)
+{
+    // Three submitters send a seeded mix of the tiny models and an
+    // unknown one while a fourth thread shuts the server down after a
+    // seeded number of submissions, draining on even iterations.
+    // Every future must become ready with one typed status, and the
+    // per-status tallies must equal the server's counters.
+    const std::vector<std::string> models = {"tiny:Swin", "tiny:ViT",
+                                             "tiny:ResNext", "nosuch"};
+    constexpr int kIterations = 24;
+    constexpr int kSubmitters = 3;
+    constexpr int kPerSubmitter = 16;
+    constexpr int kSent = kSubmitters * kPerSubmitter;
+    for (int it = 0; it < kIterations; ++it) {
+        const bool drain = it % 2 == 0;
+        ServerOptions o = baseOptions();
+        o.queueCapacity = 12; // small, so some submits are Rejected
+        InferenceServer server(o);
+        std::vector<std::vector<std::future<InferenceResponse>>> futures(
+            kSubmitters);
+        std::atomic<int> submitted{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kSubmitters; ++t) {
+            threads.emplace_back([&, t] {
+                std::mt19937 rng(static_cast<std::uint32_t>(it * 8 + t));
+                for (int i = 0; i < kPerSubmitter; ++i) {
+                    const std::string &model =
+                        models[rng() % models.size()];
+                    futures[static_cast<std::size_t>(t)].push_back(
+                        server.submit(tinyRequest(
+                            model, static_cast<std::uint64_t>(i))));
+                    ++submitted;
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(rng() % 300));
+                }
+            });
+        }
+        threads.emplace_back([&] {
+            std::mt19937 rng(static_cast<std::uint32_t>(it * 8 + 7));
+            const int after = static_cast<int>(rng() % (kSent + 1));
+            while (submitted.load() < after)
+                std::this_thread::yield();
+            server.shutdown(drain);
+        });
+        for (std::thread &t : threads)
+            t.join();
+
+        std::map<ResponseStatus, std::int64_t> byStatus;
+        for (auto &perThread : futures) {
+            for (auto &f : perThread) {
+                ASSERT_EQ(f.wait_for(std::chrono::seconds(30)),
+                          std::future_status::ready)
+                    << "iteration " << it << ": unanswered request";
+                const InferenceResponse r = f.get();
+                ASSERT_TRUE(r.status == ResponseStatus::Ok ||
+                            r.status == ResponseStatus::Rejected ||
+                            r.status == ResponseStatus::ShuttingDown ||
+                            r.status == ResponseStatus::Failed)
+                    << "iteration " << it;
+                if (r.status != ResponseStatus::Ok) {
+                    EXPECT_FALSE(r.error.empty()) << "iteration " << it;
+                }
+                ++byStatus[r.status];
+            }
+        }
+        const auto st = server.stats();
+        EXPECT_EQ(st.global.submitted, kSent) << "iteration " << it;
+        EXPECT_EQ(st.global.submitted,
+                  st.global.served + st.global.rejected +
+                      st.global.failed + st.global.shutDown)
+            << "iteration " << it;
+        EXPECT_EQ(byStatus[ResponseStatus::Ok], st.global.served)
+            << "iteration " << it;
+        EXPECT_EQ(byStatus[ResponseStatus::Rejected], st.global.rejected)
+            << "iteration " << it;
+        EXPECT_EQ(byStatus[ResponseStatus::Failed], st.global.failed)
+            << "iteration " << it;
+        EXPECT_EQ(byStatus[ResponseStatus::ShuttingDown],
+                  st.global.shutDown)
+            << "iteration " << it;
+    }
+}
+
 TEST(ServeStats, LifecycleInvariantHolds)
 {
     ServerOptions o = baseOptions();
@@ -504,7 +640,6 @@ TEST(ServeCompile, BatchRePlansFlowThroughSessionCache)
     o.autoStart = false;
     o.workers = 1;
     o.maxBatch = 2;
-    o.batchDeadlineMs = 20.0;
     InferenceServer server(o);
     std::vector<std::future<InferenceResponse>> futures;
     for (int i = 0; i < 4; ++i)

@@ -908,24 +908,57 @@ TEST(SpecialValues, ReductionsPoolsAndPadMatchReferenceBits)
     }
 }
 
-TEST(SpecialValues, AllNegativeInfinityRowMaxIsTheSeed)
+TEST(SpecialValues, AllNegativeInfinityRowMaxIsNegativeInfinity)
 {
-    // ReduceMax seeds -1e30f, so a row of -inf reads -1e30 on both
-    // backends (the seed's semantics, pinned as they are today).
-    ir::GraphBuilder b;
-    const ir::ValueId x = b.input("x", ir::Shape({2, 4}));
-    b.markOutput(b.reduce(ir::OpKind::ReduceMax, x, {1}, false));
-    const ir::Graph g = b.finish();
-    auto inputs = specialInputs(g);
-    exec::Tensor &xt = inputs.begin()->second;
-    for (std::int64_t i = 0; i < 4; ++i)
-        xt.at(i) = -std::numeric_limits<float>::infinity();
-    expectReferenceBits(g, inputs, "ReduceMax");
-    exec::CpuBackendOptions o;
-    o.seed = kSeed;
-    const auto got = exec::CpuBackend(o).run(
-        core::compileStage(g, device::adreno740(), 3), inputs);
-    EXPECT_EQ(got[0].at(0), -1e30f);
+    // ReduceMax and MaxPool2d seed their maximum with -inf: a row or
+    // window of -inf reads -inf, and one of -3e38 reads -3e38, on both
+    // backends.
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    auto expectMaxima = [](const ir::Graph &g,
+                           const std::map<ir::ValueId, exec::Tensor> &in,
+                           const std::string &what) {
+        expectReferenceBits(g, in, what);
+        exec::CpuBackendOptions o;
+        o.seed = kSeed;
+        const auto ref = exec::Executor(kSeed).runOutputs(g, in);
+        const auto got = exec::CpuBackend(o).run(
+            core::compileStage(g, device::adreno740(), 3), in);
+        for (const auto &out : {ref[0], got[0]}) {
+            EXPECT_EQ(out.at(0), -kInf) << what;
+            EXPECT_EQ(out.at(1), -3e38f) << what;
+        }
+    };
+    {
+        // Row 0 is -inf, row 1 -3e38, row 2 mixed.
+        ir::GraphBuilder b;
+        const ir::ValueId x = b.input("x", ir::Shape({3, 4}));
+        b.markOutput(b.reduce(ir::OpKind::ReduceMax, x, {1}, false));
+        const ir::Graph g = b.finish();
+        auto inputs = specialInputs(g);
+        exec::Tensor &xt = inputs.begin()->second;
+        for (std::int64_t i = 0; i < 4; ++i) {
+            xt.at(i) = -kInf;
+            xt.at(4 + i) = -3e38f;
+        }
+        expectMaxima(g, inputs, "ReduceMax");
+    }
+    {
+        // 2x2 windows of stride 2 over a 4x4 plane: window (0, 0) is
+        // -inf, window (0, 1) -3e38, the bottom two mixed.
+        ir::GraphBuilder b;
+        const ir::ValueId x = b.input("x", ir::Shape({1, 1, 4, 4}));
+        b.markOutput(b.maxPool2d(x, 2, 2, 0));
+        const ir::Graph g = b.finish();
+        auto inputs = specialInputs(g);
+        exec::Tensor &xt = inputs.begin()->second;
+        for (std::int64_t y = 0; y < 2; ++y) {
+            for (std::int64_t xo = 0; xo < 2; ++xo) {
+                xt.at({0, 0, y, xo}) = -kInf;
+                xt.at({0, 0, y, 2 + xo}) = -3e38f;
+            }
+        }
+        expectMaxima(g, inputs, "MaxPool2d");
+    }
 }
 
 } // namespace

@@ -39,7 +39,7 @@
  *       mismatch.
  *   smartmem_cli serve --requests <file> [--device <name>|--device-file <f>]
  *                [--workers N] [--queue-cap N] [--max-batch N]
- *                [--deadline-ms X] [--no-coalesce] [--backend <name>]
+ *                [--no-coalesce] [--backend <name>]
  *                [--exec-threads N] [--seed N]
  *       Run the multi-tenant inference server (docs/SERVING.md) over
  *       a request file and report per-request responses plus serving
@@ -47,9 +47,10 @@
  *       backpressure counters).  Request lines are
  *       `<model|@graph-file> [device=D] [compiler=C] [stage=S]
  *       [count=N] [salt=N]`; blank lines and `#` comments are
- *       skipped.  All requests are submitted up front (so same-model
- *       bursts coalesce), then the server drains and the tables
- *       print.  Exits 1 if any request was rejected or failed.
+ *       skipped.  All requests are submitted up front, so the
+ *       same-model requests that queue while the workers execute
+ *       coalesce; then the server drains and the tables print.
+ *       Exits 1 if any request was rejected or failed.
  *   smartmem_cli opt <model>|--all [--batch N] [--passes a,b,c]
  *                [--print-stats] [--json FILE]
  *       Run the graph pass pipeline (docs/PASSES.md) over a zoo model
@@ -148,9 +149,8 @@ usage()
                  "[--device-file F]\n"
                  "       smartmem_cli serve --requests FILE "
                  "[--device D] [--device-file F] [--workers N] "
-                 "[--queue-cap N] [--max-batch N] [--deadline-ms X] "
-                 "[--no-coalesce] [--backend B] [--exec-threads N] "
-                 "[--seed N]\n"
+                 "[--queue-cap N] [--max-batch N] [--no-coalesce] "
+                 "[--backend B] [--exec-threads N] [--seed N]\n"
                  "       smartmem_cli opt <model>|--all [--batch N] "
                  "[--passes a,b,c] [--print-stats] [--json FILE]\n"
                  "       smartmem_cli classify\n"
@@ -1012,8 +1012,6 @@ cmdServe(int argc, char **argv)
         else if (arg == "--max-batch" && i + 1 < argc)
             so.maxBatch =
                 bench::parseIntFlag("--max-batch", argv[++i], 1);
-        else if (arg == "--deadline-ms" && i + 1 < argc)
-            so.batchDeadlineMs = std::atof(argv[++i]);
         else if (arg == "--no-coalesce")
             so.coalesce = false;
         else if (arg == "--backend" && i + 1 < argc)
@@ -1063,8 +1061,8 @@ cmdServe(int argc, char **argv)
         return 2;
     }
 
-    // Submit everything up front (same-model bursts coalesce), then
-    // collect in submission order.
+    // Submit everything up front (same-model requests that queue
+    // behind busy workers coalesce), then collect in submission order.
     std::vector<std::future<serve::InferenceResponse>> futures;
     std::vector<std::string> names;
     for (const RequestLine &rl : lines) {
