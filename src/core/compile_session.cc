@@ -92,17 +92,11 @@ CompileSession::threadCount() const
 }
 
 std::shared_ptr<const runtime::ExecutionPlan>
-CompileSession::compileCached(const Job &job)
-{
-    return compileSource(models::ModelRegistry::builtins().find(job.model),
-                         job.options);
-}
-
-std::shared_ptr<const runtime::ExecutionPlan>
 CompileSession::compileModel(const std::string &model,
                              const CompileOptions &options)
 {
-    return compileCached({model, options});
+    return compileSource(models::ModelRegistry::builtins().find(model),
+                         options);
 }
 
 std::shared_ptr<const runtime::ExecutionPlan>
@@ -261,48 +255,9 @@ std::shared_ptr<const runtime::ExecutionPlan>
 CompileSession::compileGraph(const ir::Graph &graph,
                              const CompileOptions &options)
 {
-    support::ThreadBudgetGuard budget(threadCount());
-    ir::Graph canon = canonicalizeGraph(graph);
-    const std::string key = devFingerprint_ + "|graph=" +
-                            serialize::graphSignature(canon) + "|" +
-                            options.pipelineFingerprint();
-    std::shared_ptr<const PlanCacheDir> disk;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = cache_.find(key);
-        if (it != cache_.end()) {
-            ++stats_.cacheHits;
-            return it->second;
-        }
-        ++stats_.cacheMisses;
-        disk = planCache_;
-    }
-
-    runtime::ExecutionPlan plan;
-    bool loaded = false;
-    if (disk) {
-        if (disk->contains(key)) {
-            if (auto cached = disk->load(key, ir::Graph(canon))) {
-                plan = std::move(*cached);
-                loaded = true;
-            }
-        }
-        std::lock_guard<std::mutex> lock(mu_);
-        ++(loaded ? stats_.diskHits : stats_.diskMisses);
-    }
-    if (!loaded) {
-        plan = compileCanonical(canon, dev_, options.pipeline,
-                                options.stage);
-        plan.cacheKey = key;
-        if (disk)
-            disk->store(plan);
-    }
-
-    auto sp = std::make_shared<const runtime::ExecutionPlan>(
-        std::move(plan));
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = cache_.emplace(key, sp);
-    return it->second;
+    CompileOptions fixed = options;
+    fixed.batch = 1; // the graph's shapes already encode its batch
+    return compileSource(models::FileGraphSource(graph), fixed);
 }
 
 std::vector<std::shared_ptr<const runtime::ExecutionPlan>>
@@ -312,14 +267,14 @@ CompileSession::compileJobs(const std::vector<Job> &jobs)
         jobs.size());
     if (!pool_ || jobs.size() < 2) {
         for (std::size_t i = 0; i < jobs.size(); ++i)
-            plans[i] = compileCached(jobs[i]);
+            plans[i] = compileModel(jobs[i].model, jobs[i].options);
         return plans;
     }
     std::vector<std::future<void>> futures;
     futures.reserve(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         futures.push_back(pool_->submit([this, &jobs, &plans, i] {
-            plans[i] = compileCached(jobs[i]);
+            plans[i] = compileModel(jobs[i].model, jobs[i].options);
         }));
     }
     std::exception_ptr first;

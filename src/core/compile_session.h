@@ -185,11 +185,15 @@ class CompileSession
                   const CompileOptions &options = CompileOptions());
 
     /**
-     * Compile an already-built graph, cached under its canonical key
-     * (device + canonicalized-graph signature + pipeline
-     * fingerprint).  `options.batch` is ignored: the graph's shapes
+     * Compile an already-built graph: compileSource() of a
+     * models::FileGraphSource over it, so the plan is cached under its
+     * canonical key (device + canonicalized-graph signature + pipeline
+     * fingerprint) and concurrent compiles of one graph are
+     * single-flight.  `options.batch` is ignored: the graph's shapes
      * already encode it.  A zoo model and a byte-identical imported
      * graph share one cache entry and yield the same shared plan.
+     * With a plan-cache directory, the graph's "smgraph:<signature>"
+     * alias is written as an .alias record beside the plan.
      */
     std::shared_ptr<const runtime::ExecutionPlan>
     compileGraph(const ir::Graph &graph,
@@ -210,9 +214,6 @@ class CompileSession
     void clearCache();
 
   private:
-    std::shared_ptr<const runtime::ExecutionPlan>
-    compileCached(const Job &job);
-
     /** Cold path of compileSource(): disk lookup, build, compile,
      *  store.  Runs outside mu_; exactly one caller per alias key is
      *  in here at a time (the single-flight producer). */

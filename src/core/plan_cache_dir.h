@@ -5,8 +5,8 @@
  * CompileSession's in-memory cache dies with the process; this is its
  * cross-process counterpart.  Entries are keyed by the plan's
  * *canonical* cache key -- device fingerprint + canonicalized-graph
- * signature + pipeline fingerprint (see
- * CompileSession::compileGraph) -- three files per entry:
+ * signature + pipeline fingerprint (see the CompileSession file
+ * header) -- three files per entry:
  *
  *   <dir>/<sanitized-key-prefix>-<fnv64(key)>.plan     the plan text
  *   <dir>/<sanitized-key-prefix>-<fnv64(key)>.graph    the plan's

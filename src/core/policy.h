@@ -2,13 +2,12 @@
  * @file
  * Planner policies: what a compiler pipeline is allowed to fuse and how
  * it assigns layouts.  SmartMem and the six baseline frameworks are
- * all expressed as PlannerOptions presets over one planner, so latency
- * differences in the benchmarks emerge from the decisions themselves.
+ * all expressed as FusionPolicy plus LayoutStrategy presets over one
+ * planner, so latency differences in the benchmarks emerge from the
+ * decisions themselves.
  */
 #ifndef SMARTMEM_CORE_POLICY_H
 #define SMARTMEM_CORE_POLICY_H
-
-#include <cstdint>
 
 namespace smartmem::core {
 
@@ -36,10 +35,10 @@ struct FusionPolicy
      *  fixed-pattern frameworks (MNN/NCNN/TFLite) allow 1-2. */
     int maxPostOps = 64;
 
-    /** Execute FusedAttention nodes with the streaming online-softmax
-     *  kernel (score tile stays in cache; the O(n^2) score matrix is
-     *  never materialized).  Off, the backends fall back to the
-     *  materializing evaluation -- the A/B baseline. */
+    /** Mark FusedAttention kernels as streaming
+     *  (Kernel::streamingAttention): a cost-model fact -- the O(n^2)
+     *  score matrix is not charged as memory traffic.  The CPU backend
+     *  streams every FusedAttention node either way. */
     bool fuseAttentionBlock = false;
 
     /** Fuse consecutive layout-transformation operators into a single
@@ -94,30 +93,6 @@ enum class LayoutStrategy {
      *  also the "Layout Selecting" stage of Figure 8 before texture
      *  mapping). */
     SmartSelectBufferOnly,
-};
-
-/** Full planner configuration. */
-struct PlannerOptions
-{
-    /** What the pipeline may fuse and whether transforms are
-     *  eliminated (Section 3.2) or merely fused. */
-    FusionPolicy fusion;
-
-    /** Physical layout / memory-space assignment strategy; SmartMem
-     *  uses SmartSelect (Sections 3.2.2, 3.3), baselines use the fixed
-     *  strategies above. */
-    LayoutStrategy layout = LayoutStrategy::RowMajorBuffer;
-
-    /** Run the genetic auto-tuner over launch configurations
-     *  (Section 3.3, "Other optimizations"). */
-    bool enableTuner = false;
-
-    /** RNG seed for the tuner; fixed so plans are reproducible. */
-    std::uint64_t tunerSeed = 7;
-
-    /** Insert redundant layout copies when consumers demand more than
-     *  k distinct layouts (SmartSelect only; Sections 3.2.2 / 4.6). */
-    bool allowRedundantCopies = true;
 };
 
 } // namespace smartmem::core

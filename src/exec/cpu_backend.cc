@@ -1236,40 +1236,14 @@ PlanRunner::runNode(const Kernel &k, const Node &node)
             bias_batched = bsh.rank() == 3 && bsh.dim(0) > 1;
         }
         float *out = alloc(os.numElements());
-        if (k.streamingAttention) {
-            blockedFusedAttention(q, kd, v, bias, bias_batched, scale,
-                                  out, batch, n, dk, m, dv, simd_,
-                                  tiles_);
-            ++stats_.fusedAttentionKernels;
-            stats_.scoreBytesAvoided +=
-                batch * n * m *
-                static_cast<std::int64_t>(sizeof(float));
-        } else {
-            // Materializing fallback (the A/B baseline the streaming
-            // kernel is measured against): full score panel, then
-            // scale+bias, row softmax, and the V matmul over it.
-            float *score = alloc(batch * n * m);
-            blockedMatMul({q, dk, 1, n * dk, nullptr},
-                          {kd, dk, 1, m * dk, nullptr},
-                          {score, m, 1, n * m, nullptr}, batch, n, m,
-                          dk, /*transB=*/true, simd_, tiles_);
-            const std::int64_t nm = n * m;
-            parallelFor(batch * nm, 4096,
-                        [&](std::int64_t e0, std::int64_t e1) {
-                            for (std::int64_t e = e0; e < e1; ++e) {
-                                float s = score[e] * scale;
-                                if (bias != nullptr)
-                                    s += bias[bias_batched ? e : e % nm];
-                                score[e] = s;
-                            }
-                        });
-            blockedSoftmax(score, score, Shape({batch, n, m}), 2);
-            blockedMatMul({score, m, 1, nm, nullptr},
-                          {v, dv, 1, m * dv, nullptr},
-                          {out, dv, 1, n * dv, nullptr}, batch, n, dv,
-                          m, /*transB=*/false, simd_, tiles_);
-            pool_.release(score);
-        }
+        // Every launch streams, whatever Kernel::streamingAttention
+        // says: the flag tells the cost model whether the score panel
+        // is charged, and no run ever materializes it.
+        blockedFusedAttention(q, kd, v, bias, bias_batched, scale, out,
+                              batch, n, dk, m, dv, simd_, tiles_);
+        ++stats_.fusedAttentionKernels;
+        stats_.scoreBytesAvoided +=
+            batch * n * m * static_cast<std::int64_t>(sizeof(float));
         locals_[node.output] = {out, true};
         return;
       }

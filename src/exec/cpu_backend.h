@@ -58,7 +58,9 @@
 
 namespace smartmem::exec {
 
-/** Knobs for a CpuBackend instance. */
+/** Knobs for a CpuBackend instance, and the options of every
+ *  execution backend (runtime::ExecutorOptions names this struct).
+ *  The reference backend reads only `seed`. */
 struct CpuBackendOptions
 {
     /** Threads per run, installed as the calling thread's
@@ -77,7 +79,10 @@ struct CpuBackendOptions
     std::int64_t gemmKBlock = 0;
 };
 
-/** Counters from the most recent CpuBackend::run(). */
+/** Counters of one run, handed out through the `stats` parameter of
+ *  CpuBackend::run() and runtime::PlanExecutor::run(): the one
+ *  channel run statistics flow through.  Each run fills its own
+ *  copy, so concurrent runs never mix their counters. */
 struct CpuBackendStats
 {
     /** Kernels launched (= plan.operatorCount()). */
@@ -114,8 +119,9 @@ struct CpuBackendStats
      *  (no pack copy in publishOutput). */
     int nativeLayoutStores = 0;
 
-    /** FusedAttention launches that ran the streaming online-softmax
-     *  kernel (Kernel::streamingAttention set). */
+    /** FusedAttention launches; each runs the streaming
+     *  online-softmax kernel, whatever Kernel::streamingAttention
+     *  says. */
     int fusedAttentionKernels = 0;
 
     /** Score-matrix bytes those launches never materialized: the

@@ -218,20 +218,10 @@ evalSoftmax(const Node &node, const Tensor &x)
     std::int64_t outer = s.numElements() / (inner * extent);
 
     Tensor out(s);
-    for (std::int64_t o = 0; o < outer; ++o) {
-        for (std::int64_t i = 0; i < inner; ++i) {
-            const float *xp = x.data() + o * extent * inner + i;
-            float *op = out.data() + o * extent * inner + i;
-            float mx = -1e30f;
-            for (std::int64_t e = 0; e < extent; ++e)
-                mx = std::max(mx, xp[e * inner]);
-            float denom = 0;
-            for (std::int64_t e = 0; e < extent; ++e)
-                denom += std::exp(xp[e * inner] - mx);
-            for (std::int64_t e = 0; e < extent; ++e)
-                op[e * inner] = std::exp(xp[e * inner] - mx) / denom;
-        }
-    }
+    for (std::int64_t o = 0; o < outer; ++o)
+        for (std::int64_t i = 0; i < inner; ++i)
+            softmaxRow(x.data() + o * extent * inner + i,
+                       out.data() + o * extent * inner + i, extent, inner);
     return out;
 }
 
@@ -370,7 +360,7 @@ evalFusedAttention(const ir::Graph &graph, const Node &node,
                  : nullptr;
         float *op = out.data() + b * n * dv;
         for (std::int64_t i = 0; i < n; ++i) {
-            float mx = -1e30f;
+            float mx = -std::numeric_limits<float>::infinity();
             for (std::int64_t j = 0; j < m; ++j) {
                 float acc = 0;
                 for (std::int64_t kk = 0; kk < dk; ++kk)
@@ -383,12 +373,14 @@ evalFusedAttention(const ir::Graph &graph, const Node &node,
             }
             float denom = 0;
             for (std::int64_t j = 0; j < m; ++j) {
-                float e = std::exp(row[static_cast<std::size_t>(j)] - mx);
+                float e = softmaxWeight(row[static_cast<std::size_t>(j)], mx);
                 row[static_cast<std::size_t>(j)] = e;
                 denom += e;
             }
             for (std::int64_t d = 0; d < dv; ++d)
                 op[i * dv + d] = 0;
+            if (denom == 0.0f)
+                continue; // fully masked: the row stays zero
             for (std::int64_t j = 0; j < m; ++j) {
                 float p = row[static_cast<std::size_t>(j)] / denom;
                 for (std::int64_t d = 0; d < dv; ++d)

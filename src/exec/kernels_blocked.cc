@@ -710,6 +710,7 @@ blockedFusedAttention(const float *q, const float *k, const float *v,
                       std::int64_t dk, std::int64_t m, std::int64_t dv,
                       SimdLevel simd, const TileParams &tilesIn)
 {
+    constexpr float kNegInf = -std::numeric_limits<float>::infinity();
     const TileParams tiles = sanitizeTiles(tilesIn);
     const i64 jBlock = std::min(tiles.kBlock, m);
     const i64 row_blocks = (n + tiles.rowTile - 1) / tiles.rowTile;
@@ -741,7 +742,7 @@ blockedFusedAttention(const float *q, const float *k, const float *v,
                 const i64 rows = std::min(kQRows, i1 - i);
                 float mx[kQRows], denom[kQRows];
                 for (i64 r = 0; r < rows; ++r) {
-                    mx[r] = -1e30f;
+                    mx[r] = kNegInf;
                     denom[r] = 0;
                 }
                 std::fill(acc.begin(), acc.end(), 0.0f);
@@ -755,7 +756,7 @@ blockedFusedAttention(const float *q, const float *k, const float *v,
                         float *srow =
                             sbuf.data() +
                             static_cast<std::size_t>(r * jBlock);
-                        float bmx = -1e30f;
+                        float bmx = kNegInf;
                         for (i64 j = 0; j < cnt; ++j) {
                             float s = scale *
                                       dot(qrow, kp + (j0 + j) * dk, dk);
@@ -775,7 +776,7 @@ blockedFusedAttention(const float *q, const float *k, const float *v,
                             mx[r] = bmx;
                         }
                         for (i64 j = 0; j < cnt; ++j) {
-                            const float e = std::exp(srow[j] - mx[r]);
+                            const float e = softmaxWeight(srow[j], mx[r]);
                             srow[j] = e;
                             denom[r] += e;
                         }
@@ -785,6 +786,10 @@ blockedFusedAttention(const float *q, const float *k, const float *v,
                 }
                 for (i64 r = 0; r < rows; ++r) {
                     float *orow = out + (bi * n + i + r) * dv;
+                    if (denom[r] == 0.0f) { // fully masked row
+                        std::fill(orow, orow + dv, 0.0f);
+                        continue;
+                    }
                     const float *arow =
                         acc.data() + static_cast<std::size_t>(r * dv);
                     const float inv = 1.0f / denom[r];
@@ -1148,6 +1153,25 @@ blockedBinary(ir::OpKind kind, const float *a, const float *b, float *out,
 // -------------------------------------------------------------------
 
 void
+softmaxRow(const float *x, float *out, std::int64_t extent,
+           std::int64_t stride)
+{
+    float mx = -std::numeric_limits<float>::infinity();
+    for (std::int64_t e = 0; e < extent; ++e)
+        mx = std::max(mx, x[e * stride]);
+    float denom = 0;
+    for (std::int64_t e = 0; e < extent; ++e)
+        denom += softmaxWeight(x[e * stride], mx);
+    if (denom == 0.0f) { // fully masked
+        for (std::int64_t e = 0; e < extent; ++e)
+            out[e * stride] = 0.0f;
+        return;
+    }
+    for (std::int64_t e = 0; e < extent; ++e)
+        out[e * stride] = softmaxWeight(x[e * stride], mx) / denom;
+}
+
+void
 blockedSoftmax(const float *x, float *out, const ir::Shape &shape,
                int axis)
 {
@@ -1158,20 +1182,10 @@ blockedSoftmax(const float *x, float *out, const ir::Shape &shape,
     const std::int64_t outer = shape.numElements() / (inner * extent);
 
     parallelFor(outer, 1, [&](std::int64_t o0, std::int64_t o1) {
-        for (std::int64_t o = o0; o < o1; ++o) {
-            for (std::int64_t i = 0; i < inner; ++i) {
-                const float *xp = x + o * extent * inner + i;
-                float *op = out + o * extent * inner + i;
-                float mx = -1e30f;
-                for (std::int64_t e = 0; e < extent; ++e)
-                    mx = std::max(mx, xp[e * inner]);
-                float denom = 0;
-                for (std::int64_t e = 0; e < extent; ++e)
-                    denom += std::exp(xp[e * inner] - mx);
-                for (std::int64_t e = 0; e < extent; ++e)
-                    op[e * inner] = std::exp(xp[e * inner] - mx) / denom;
-            }
-        }
+        for (std::int64_t o = o0; o < o1; ++o)
+            for (std::int64_t i = 0; i < inner; ++i)
+                softmaxRow(x + o * extent * inner + i,
+                           out + o * extent * inner + i, extent, inner);
     });
 }
 

@@ -39,6 +39,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "exec/simd_dispatch.h"
@@ -332,7 +333,33 @@ void blockedPad(const float *x, const DimTables &xt, const ir::Shape &xs,
                 const std::vector<std::int64_t> &pads, float *out,
                 const ir::Shape &os);
 
-/** Softmax over `axis` (reference semantics), parallel over slices. */
+/**
+ * Weight of one softmax or attention score, exp(score - rowMax), with
+ * the row maximum taken by std::max from a -inf seed.  While that
+ * maximum is still -inf no exp runs: a -inf score weighs 0 and a NaN
+ * score (std::max skips it) stays NaN, so a fully masked row's weights
+ * sum to 0 and a NaN score poisons its row's sum.
+ */
+inline float
+softmaxWeight(float score, float rowMax)
+{
+    constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+    if (rowMax == kNegInf)
+        return score == kNegInf ? 0.0f : score;
+    return std::exp(score - rowMax);
+}
+
+/**
+ * Softmax of one row of `extent` scores `stride` floats apart, the one
+ * definition both backends run: softmaxWeight() over the sum of the
+ * row's weights.  A fully masked row (every score -inf) reads zeros;
+ * a NaN score makes its row NaN.  out may alias x.
+ */
+void softmaxRow(const float *x, float *out, std::int64_t extent,
+                std::int64_t stride);
+
+/** Softmax over `axis`: softmaxRow() on every slice, parallel over
+ *  the outer slices. */
 void blockedSoftmax(const float *x, float *out, const ir::Shape &shape,
                     int axis);
 
@@ -354,6 +381,10 @@ void blockedSoftmax(const float *x, float *out, const ir::Shape &shape,
  * Parallel over batch x row tiles; every row is swept in ascending-j
  * order with block boundaries fixed by `tiles` alone, so output bytes
  * are independent of thread count at a fixed SimdLevel.
+ *
+ * Masked rows follow softmaxRow(): the running maximum starts at -inf,
+ * scores are weighed by softmaxWeight(), and a row whose weights sum
+ * to 0 (every score -inf) writes zeros; a NaN score makes its row NaN.
  */
 void blockedFusedAttention(const float *q, const float *k, const float *v,
                            const float *bias, bool biasBatched,

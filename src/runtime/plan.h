@@ -92,10 +92,11 @@ struct Kernel
      *  genetic auto-tuner, 0.85 for untuned kernels. */
     double tunedEfficiency = 0.85;
 
-    /** True when this kernel's FusedAttention node runs the streaming
-     *  online-softmax path: the score matrix never hits memory, so the
-     *  cost model and the live-bytes simulation drop its traffic.  Set
-     *  by the planner under FusionPolicy::fuseAttentionBlock. */
+    /** True when the cost model treats this kernel's FusedAttention
+     *  node as streaming: the score matrix never hits memory, so its
+     *  traffic is not charged.  Set by the planner under
+     *  FusionPolicy::fuseAttentionBlock and printed in the plan text.
+     *  The CPU backend always streams, whatever the flag says. */
     bool streamingAttention = false;
 };
 

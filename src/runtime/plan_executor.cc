@@ -1,7 +1,5 @@
 #include "runtime/plan_executor.h"
 
-#include <mutex>
-
 #include "runtime/functional_runner.h"
 #include "support/error.h"
 #include "support/strings.h"
@@ -26,8 +24,11 @@ class ReferenceExecutor final : public PlanExecutor
 
     std::vector<exec::Tensor>
     run(const ExecutionPlan &plan,
-        const std::map<ir::ValueId, exec::Tensor> &inputs) override
+        const std::map<ir::ValueId, exec::Tensor> &inputs,
+        exec::CpuBackendStats *stats) override
     {
+        if (stats != nullptr)
+            *stats = exec::CpuBackendStats();
         return runPlanFunctional(plan, inputs, seed_);
     }
 
@@ -35,22 +36,11 @@ class ReferenceExecutor final : public PlanExecutor
     std::uint64_t seed_;
 };
 
-exec::CpuBackendOptions
-cpuBackendOptions(const ExecutorOptions &opts)
-{
-    exec::CpuBackendOptions o;
-    o.threads = opts.threads;
-    o.seed = opts.seed;
-    o.gemmRowTile = opts.gemmRowTile;
-    o.gemmKBlock = opts.gemmKBlock;
-    return o;
-}
-
 class CpuBlockedExecutor final : public PlanExecutor
 {
   public:
     explicit CpuBlockedExecutor(const ExecutorOptions &opts)
-        : backend_(cpuBackendOptions(opts))
+        : backend_(opts)
     {
     }
 
@@ -62,25 +52,14 @@ class CpuBlockedExecutor final : public PlanExecutor
 
     std::vector<exec::Tensor>
     run(const ExecutionPlan &plan,
-        const std::map<ir::ValueId, exec::Tensor> &inputs) override
+        const std::map<ir::ValueId, exec::Tensor> &inputs,
+        exec::CpuBackendStats *stats) override
     {
-        exec::CpuBackendStats stats;
-        auto outputs = backend_.run(plan, inputs, &stats);
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_ = stats;
-        return outputs;
-    }
-
-    exec::CpuBackendStats lastRunStats() const override
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return stats_;
+        return backend_.run(plan, inputs, stats);
     }
 
   private:
     const exec::CpuBackend backend_;
-    mutable std::mutex mu_; ///< guards stats_
-    exec::CpuBackendStats stats_;
 };
 
 } // namespace

@@ -20,7 +20,6 @@
 #ifndef SMARTMEM_RUNTIME_PLAN_EXECUTOR_H
 #define SMARTMEM_RUNTIME_PLAN_EXECUTOR_H
 
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -32,24 +31,9 @@
 
 namespace smartmem::runtime {
 
-/** Options shared by every execution backend. */
-struct ExecutorOptions
-{
-    /** Threads per run; 0 = the caller's thread budget
-     *  (SMARTMEM_THREADS env / hardware default when none is set).
-     *  The reference backend is always serial. */
-    int threads = 0;
-
-    /** Seed for synthesized constants; executions to be compared must
-     *  use the same seed. */
-    std::uint64_t seed = 1234;
-
-    /** GEMM tile parameters for the cpu-blocked backend, usually from
-     *  exec::resolveTileParams() on the target's DeviceProfile; 0 =
-     *  kernel defaults.  The reference backend ignores them. */
-    std::int64_t gemmRowTile = 0;
-    std::int64_t gemmKBlock = 0;
-};
+/** Options of every execution backend: one struct, read whole by
+ *  cpu-blocked and for its seed alone by the reference backend. */
+using ExecutorOptions = exec::CpuBackendOptions;
 
 /**
  * A plan execution engine.  run() is safe to call concurrently from
@@ -67,15 +51,14 @@ class PlanExecutor
     virtual const std::string &name() const = 0;
 
     /** Execute the plan; returns graph outputs in declaration order,
-     *  row-major.  Thread-safe (see the class comment). */
+     *  row-major.  `stats`, when non-null, receives this run's
+     *  counters (zeros from the reference backend, which keeps none);
+     *  it is the only channel run statistics flow through.
+     *  Thread-safe (see the class comment). */
     virtual std::vector<exec::Tensor>
     run(const ExecutionPlan &plan,
-        const std::map<ir::ValueId, exec::Tensor> &inputs) = 0;
-
-    /** Counters of the most recently *completed* run(), whole and
-     *  never mixed across concurrent runs; zeroed for backends that
-     *  keep none (reference). */
-    virtual exec::CpuBackendStats lastRunStats() const { return {}; }
+        const std::map<ir::ValueId, exec::Tensor> &inputs,
+        exec::CpuBackendStats *stats = nullptr) = 0;
 };
 
 /** Registered backend names, in registry order. */

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "core/compiler_registry.h"
 #include "device/device_registry.h"
 #include "exec/kernels_blocked.h"
 #include "support/error.h"
@@ -114,13 +115,6 @@ InferenceServer::models() const
                            : models::ModelRegistry::builtins();
 }
 
-const core::CompilerRegistry &
-InferenceServer::compilers() const
-{
-    return options_.compilers ? *options_.compilers
-                              : core::CompilerRegistry::builtins();
-}
-
 const device::DeviceProfile &
 InferenceServer::resolveDevice(const std::string &name) const
 {
@@ -228,7 +222,7 @@ InferenceServer::submit(InferenceRequest request)
             ? options_.defaultDevice
             : request.device;
         const device::DeviceProfile &dev = resolveDevice(deviceName);
-        compilers().find(request.compiler);
+        core::CompilerRegistry::builtins().find(request.compiler);
         sourceFor(request.model); // throws on unknown model/bad file
         q.key = BatchKey{request.model, dev.fingerprint(),
                          request.compiler, request.stage};
@@ -397,7 +391,8 @@ InferenceServer::execute(std::vector<QueuedRequest> batch)
     };
 
     try {
-        const core::Compiler &compiler = compilers().find(key.compiler);
+        const core::Compiler &compiler =
+            core::CompilerRegistry::builtins().find(key.compiler);
         core::CompileSession &session =
             sessionFor(key.deviceFingerprint);
         const models::GraphSource &source = sourceFor(model);

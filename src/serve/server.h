@@ -58,7 +58,6 @@
 #include <vector>
 
 #include "core/compile_session.h"
-#include "core/compiler_registry.h"
 #include "device/device_profile.h"
 #include "models/model_registry.h"
 #include "runtime/plan_executor.h"
@@ -109,10 +108,6 @@ struct ServerOptions
     /** Model catalog; null = ModelRegistry::builtins().  Must outlive
      *  the server. */
     const models::ModelRegistry *models = nullptr;
-
-    /** Compiler catalog; null = CompilerRegistry::builtins().  Must
-     *  outlive the server. */
-    const core::CompilerRegistry *compilers = nullptr;
 };
 
 /** Multi-tenant inference server (see file header). */
@@ -163,7 +158,6 @@ class InferenceServer
 
   private:
     const models::ModelRegistry &models() const;
-    const core::CompilerRegistry &compilers() const;
 
     /** extraDevices by name, then DeviceRegistry::builtins(). */
     const device::DeviceProfile &

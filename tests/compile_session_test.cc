@@ -416,6 +416,37 @@ TEST(CompileSessionSingleFlight, ConcurrentSameKeyCompilesOnce)
     EXPECT_LE(st.sharedCompiles, n - 1);
 }
 
+TEST(CompileSessionSingleFlight, ConcurrentSameGraphCompilesOnce)
+{
+    // compileGraph() takes compileSource()'s path, single flight
+    // included: N threads compiling one already-built graph pay one
+    // compile between them.
+    const int n = 8;
+    CompileSession session(device::adreno740(), 1);
+    const ir::Graph graph = models::buildModel("ViT", 1);
+
+    std::vector<std::shared_ptr<const runtime::ExecutionPlan>> plans(
+        static_cast<std::size_t>(n));
+    {
+        std::vector<std::thread> threads;
+        for (int i = 0; i < n; ++i) {
+            threads.emplace_back([&session, &graph, &plans, i] {
+                plans[static_cast<std::size_t>(i)] =
+                    session.compileGraph(graph);
+            });
+        }
+        for (auto &t : threads)
+            t.join();
+    }
+
+    for (int i = 1; i < n; ++i)
+        EXPECT_EQ(plans[0].get(),
+                  plans[static_cast<std::size_t>(i)].get());
+    auto st = session.stats();
+    EXPECT_EQ(st.cacheMisses, 1);
+    EXPECT_EQ(st.cacheHits, n - 1);
+}
+
 TEST(CompileSession, ThreadCountResolution)
 {
     CompileSession serial(device::adreno740(), 1);

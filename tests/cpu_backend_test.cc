@@ -646,17 +646,18 @@ TEST(PlanExecutorRegistry, BackendsAgreeThroughTheFacade)
     runtime::ExecutorOptions o;
     o.seed = kSeed;
     auto ref = runtime::makeExecutor("reference", o)->run(plan, inputs);
-    auto blocked = runtime::makeExecutor("cpu-blocked", o);
-    auto got = blocked->run(plan, inputs);
+    exec::CpuBackendStats stats;
+    auto got = runtime::makeExecutor("cpu-blocked", o)
+                   ->run(plan, inputs, &stats);
     EXPECT_LE(exec::maxRelDiff(ref, got), kTolerance);
-    EXPECT_GT(blocked->lastRunStats().poolHighWaterBytes, 0);
+    EXPECT_GT(stats.poolHighWaterBytes, 0);
 }
 
 TEST(PlanExecutorShared, ConcurrentRunsMatchSerial)
 {
     // One executor serves every worker of an InferenceServer: runs
-    // from several threads must compute what serial runs do, and
-    // lastRunStats() must hold one whole run's counters.
+    // from several threads must compute what serial runs do, and each
+    // run's own stats must equal the serial run's of its plan.
     core::CompileSession session(device::adreno740(), 1);
     session.setPlanCacheDir("");
     const PlanPtr plans[2] = {keyedTinyPlan(session, "Swin", 3, 1),
@@ -670,37 +671,42 @@ TEST(PlanExecutorShared, ConcurrentRunsMatchSerial)
     for (int p = 0; p < 2; ++p) {
         inputs[p] = exec::makeSeededInputs(plans[p]->graph,
                                            exec::Executor(kSeed));
-        auto fresh = runtime::makeExecutor("cpu-blocked", o);
-        serial[p] = fresh->run(*plans[p], inputs[p]);
-        serialStats[p] = fresh->lastRunStats();
+        serial[p] = runtime::makeExecutor("cpu-blocked", o)
+                        ->run(*plans[p], inputs[p], &serialStats[p]);
     }
 
     auto shared = runtime::makeExecutor("cpu-blocked", o);
     constexpr int kCallers = 4;
     constexpr int kRunsPerCaller = 4;
     std::vector<std::vector<std::vector<exec::Tensor>>> got(kCallers);
+    std::vector<std::vector<exec::CpuBackendStats>> stats(
+        kCallers, std::vector<exec::CpuBackendStats>(kRunsPerCaller));
     std::vector<std::thread> callers;
     for (int t = 0; t < kCallers; ++t) {
         callers.emplace_back([&, t] {
+            const auto ti = static_cast<std::size_t>(t);
             for (int r = 0; r < kRunsPerCaller; ++r) {
                 const int p = (t + r) % 2;
-                got[static_cast<std::size_t>(t)].push_back(
-                    shared->run(*plans[p], inputs[p]));
+                got[ti].push_back(shared->run(
+                    *plans[p], inputs[p],
+                    &stats[ti][static_cast<std::size_t>(r)]));
             }
         });
     }
     for (std::thread &c : callers)
         c.join();
-    for (int t = 0; t < kCallers; ++t)
-        for (int r = 0; r < kRunsPerCaller; ++r)
-            EXPECT_TRUE(sameBytes(
-                got[static_cast<std::size_t>(t)]
-                   [static_cast<std::size_t>(r)],
-                serial[(t + r) % 2]))
+    for (int t = 0; t < kCallers; ++t) {
+        for (int r = 0; r < kRunsPerCaller; ++r) {
+            const auto ti = static_cast<std::size_t>(t);
+            const auto ri = static_cast<std::size_t>(r);
+            const int p = (t + r) % 2;
+            EXPECT_TRUE(sameBytes(got[ti][ri], serial[p]))
                 << "caller " << t << " run " << r;
-    const auto last = statsFields(shared->lastRunStats());
-    EXPECT_TRUE(last == statsFields(serialStats[0]) ||
-                last == statsFields(serialStats[1]));
+            EXPECT_TRUE(statsFields(stats[ti][ri]) ==
+                        statsFields(serialStats[p]))
+                << "caller " << t << " run " << r;
+        }
+    }
 }
 
 TEST(CpuBackendSeeds, SeedMismatchChangesOutputs)

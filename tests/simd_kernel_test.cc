@@ -3,7 +3,7 @@
  * SIMD dispatch, tile-parameter resolution, and layout-native kernel
  * tests for the blocked CPU backend.
  *
- * Four layers:
+ * Five layers:
  *  - exec/simd_dispatch.h: detection, the SMARTMEM_SIMD override
  *    (including fatal diagnostics for unknown/unavailable levels),
  *    and exec::resolveTileParams() over DeviceProfile calibration.
@@ -21,6 +21,9 @@
  *    outputs equal the reference kernels' bit for bit, in kernel
  *    calls, in single-op plans, and on special values (signed
  *    zeros, infinities, NaN, denormals, huge magnitudes).
+ *  - masked rows: softmax (bit-equal across backends) and fused
+ *    attention read zeros for rows of -inf, their true softmax for
+ *    rows of -3e38, and NaN for a row holding a NaN score.
  */
 #include <gtest/gtest.h>
 
@@ -958,6 +961,227 @@ TEST(SpecialValues, AllNegativeInfinityRowMaxIsNegativeInfinity)
             }
         }
         expectMaxima(g, inputs, "MaxPool2d");
+    }
+}
+
+/** Softmax rows holding -inf, all -inf, all -3e38, a NaN, and +-3e38
+ *  mixes: each row is five scores. */
+const std::vector<std::vector<float>> &
+maskedSoftmaxRows()
+{
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    const float nan = std::nanf("");
+    static const std::vector<std::vector<float>> rows = {
+        {-kInf, 1.5f, -kInf, 0.25f, -0.75f},
+        {-kInf, -kInf, -kInf, -kInf, -kInf},
+        {-3e38f, -3e38f, -3e38f, -3e38f, -3e38f},
+        {-kInf, -3e38f, -kInf, -3e38f, -kInf},
+        {1.5f, nan, 2.0f, -3.0f, 0.25f},
+        {-kInf, -kInf, nan, -kInf, -kInf},
+        {3e38f, -3e38f, 0.0f, 3e38f, -1e31f},
+        {-3e38f, -2e38f, -3e38f, 3e38f, -kInf}};
+    return rows;
+}
+
+/** The masked-row rule in double: a NaN score makes a NaN row, a row
+ *  of -inf reads zeros, any other row its softmax. */
+std::vector<double>
+expectedSoftmax(const std::vector<float> &row)
+{
+    double mx = -std::numeric_limits<double>::infinity();
+    for (float x : row) {
+        if (std::isnan(x))
+            return std::vector<double>(row.size(), std::nan(""));
+        mx = std::max(mx, static_cast<double>(x));
+    }
+    std::vector<double> out(row.size(), 0.0);
+    if (mx == -std::numeric_limits<double>::infinity())
+        return out;
+    double sum = 0;
+    for (std::size_t e = 0; e < row.size(); ++e) {
+        out[e] = std::exp(static_cast<double>(row[e]) - mx);
+        sum += out[e];
+    }
+    for (double &o : out)
+        o /= sum;
+    return out;
+}
+
+/** NaN where `want` is NaN, exactly 0 where it is 0, else within
+ *  `tol` of it. */
+void
+expectMaskedRowValue(float got, double want, double tol,
+                     const std::string &what)
+{
+    if (std::isnan(want))
+        EXPECT_TRUE(std::isnan(got)) << what << ": " << got;
+    else if (want == 0.0)
+        EXPECT_EQ(got, 0.0f) << what;
+    else
+        EXPECT_NEAR(got, want, tol) << what;
+}
+
+TEST(SpecialValues, MaskedSoftmaxRowsOnBothBackends)
+{
+    // Each row of maskedSoftmaxRows() as a last-axis row of [8, 5] and
+    // as a middle-axis row of [2, 5, 4] (row r at outer r / 4, inner
+    // r % 4).  Both backends run softmaxRow, so they agree bit for
+    // bit; the expected values pin the rule.
+    const auto &rows = maskedSoftmaxRows();
+    const std::int64_t extent = 5;
+    for (bool lastAxis : {true, false}) {
+        const ir::Shape shape = lastAxis ? ir::Shape({8, extent})
+                                         : ir::Shape({2, extent, 4});
+        const std::int64_t inner = lastAxis ? 1 : 4;
+        auto at = [&](std::size_t r, std::int64_t e) {
+            const auto ri = static_cast<std::int64_t>(r);
+            return ri / inner * extent * inner + e * inner + ri % inner;
+        };
+        ir::GraphBuilder b;
+        b.markOutput(b.softmax(b.input("x", shape), 1));
+        const ir::Graph g = b.finish();
+        auto inputs = specialInputs(g);
+        exec::Tensor &xt = inputs.begin()->second;
+        for (std::size_t r = 0; r < rows.size(); ++r)
+            for (std::int64_t e = 0; e < extent; ++e)
+                xt.at(at(r, e)) = rows[r][static_cast<std::size_t>(e)];
+
+        const std::string what =
+            lastAxis ? "Softmax last axis" : "Softmax middle axis";
+        expectReferenceBits(g, inputs, what);
+        const auto ref = exec::Executor(kSeed).runOutputs(g, inputs);
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+            const std::vector<double> want = expectedSoftmax(rows[r]);
+            for (std::int64_t e = 0; e < extent; ++e)
+                expectMaskedRowValue(
+                    ref[0].at(at(r, e)), want[static_cast<std::size_t>(e)],
+                    1e-6,
+                    what + " row " + std::to_string(r) + " element " +
+                        std::to_string(e));
+        }
+    }
+}
+
+TEST(SpecialValues, MaskedAttentionRowsOnBothBackends)
+{
+    // FusedAttention over q [2, 9, 4], k [2, 37, 4], v [2, 37, 3] with
+    // an input bias [9, 37] whose rows carry the special scores.  The
+    // 16-key block variant sweeps rows 3, 5 and 8 through blocks that
+    // are masked before (or after) their live scores.
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    const float nan = std::nanf("");
+    const std::int64_t batch = 2, n = 9, m = 37, dk = 4, dv = 3;
+    ir::GraphBuilder b;
+    ir::Attrs half;
+    half.set("scale_milli", 500);
+    b.markOutput(b.addNode(ir::OpKind::FusedAttention,
+                           {b.input("q", ir::Shape({batch, n, dk})),
+                            b.input("k", ir::Shape({batch, m, dk})),
+                            b.input("v", ir::Shape({batch, m, dv})),
+                            b.input("bias", ir::Shape({n, m}))},
+                           half));
+    const ir::Graph g = b.finish();
+
+    std::map<ir::ValueId, exec::Tensor> inputs;
+    for (std::size_t k = 0; k < 3; ++k) {
+        const ir::ValueId id = g.inputIds()[k];
+        exec::Tensor t(g.value(id).shape);
+        std::vector<float> vals(static_cast<std::size_t>(t.numElements()));
+        fill(vals, 7 + static_cast<std::uint32_t>(k));
+        std::copy(vals.begin(), vals.end(), t.data());
+        inputs.emplace(id, std::move(t));
+    }
+    exec::Tensor bias(ir::Shape({n, m}));
+    std::vector<float> ordinary(static_cast<std::size_t>(n * m));
+    fill(ordinary, 11);
+    for (std::int64_t i = 0; i < n; ++i) {
+        for (std::int64_t j = 0; j < m; ++j) {
+            const float o = ordinary[static_cast<std::size_t>(i * m + j)];
+            const float row[9] = {
+                -kInf,                         // fully masked
+                -3e38f,                        // uniform
+                j == 20 ? nan : o,             // one NaN
+                j < 20 ? -kInf : o,            // masked first blocks
+                j == 30 || j == 5 ? 3e38f : -3e38f,
+                j == 33 ? nan : -kInf,         // NaN among -inf
+                j == 36 ? o : -kInf,           // only the last key
+                o,                             // ordinary
+                j < 16 ? -3e38f : -kInf};      // first block, uniform
+            bias.at({i, j}) = row[i];
+        }
+    }
+    inputs.emplace(g.inputIds()[3], std::move(bias));
+
+    // What each row must read: zeros, NaN, or the mean of some V rows
+    // (rows 3 and 7 are checked against the reference only).
+    const exec::Tensor &v = inputs.at(g.inputIds()[2]);
+    auto meanOfV = [&](std::int64_t bi, std::int64_t d,
+                       const std::vector<std::int64_t> &js) {
+        double sum = 0;
+        for (std::int64_t j : js)
+            sum += v.at({bi, j, d});
+        return sum / static_cast<double>(js.size());
+    };
+    std::vector<std::int64_t> allKeys, firstBlock;
+    for (std::int64_t j = 0; j < m; ++j) {
+        allKeys.push_back(j);
+        if (j < 16)
+            firstBlock.push_back(j);
+    }
+    auto expectRows = [&](const exec::Tensor &out, const std::string &what) {
+        for (std::int64_t bi = 0; bi < batch; ++bi) {
+            for (std::int64_t d = 0; d < dv; ++d) {
+                const double want[9] = {0.0,
+                                        meanOfV(bi, d, allKeys),
+                                        std::nan(""),
+                                        -1.0, // not pinned
+                                        meanOfV(bi, d, {5, 30}),
+                                        std::nan(""),
+                                        meanOfV(bi, d, {36}),
+                                        -1.0, // not pinned
+                                        meanOfV(bi, d, firstBlock)};
+                for (std::int64_t i = 0; i < n; ++i) {
+                    if (i == 3 || i == 7)
+                        continue;
+                    expectMaskedRowValue(out.at({bi, i, d}), want[i], 1e-5,
+                                         what + " batch " +
+                                             std::to_string(bi) + " row " +
+                                             std::to_string(i));
+                }
+            }
+        }
+    };
+
+    const auto ref = exec::Executor(kSeed).runOutputs(g, inputs);
+    expectRows(ref[0], "reference");
+    for (int stage : {0, 3}) {
+        const auto plan = core::compileStage(g, device::adreno740(), stage);
+        for (SimdLevel lv : exec::availableSimdLevels()) {
+            SimdEnvGuard guard(exec::simdLevelName(lv));
+            for (int threads : {1, 4}) {
+                for (std::int64_t kBlock : {0, 16}) {
+                    exec::CpuBackendOptions o;
+                    o.threads = threads;
+                    o.seed = kSeed;
+                    o.gemmKBlock = kBlock;
+                    const std::string what =
+                        "stage " + std::to_string(stage) + " " +
+                        exec::simdLevelName(lv) + " threads " +
+                        std::to_string(threads) + " kBlock " +
+                        std::to_string(kBlock);
+                    exec::CpuBackendStats stats;
+                    const auto got =
+                        exec::CpuBackend(o).run(plan, inputs, &stats);
+                    EXPECT_EQ(stats.fusedAttentionKernels, 1) << what;
+                    expectRows(got[0], what);
+                    for (std::int64_t e = 0; e < ref[0].numElements(); ++e)
+                        expectMaskedRowValue(
+                            got[0].at(e), ref[0].at(e),
+                            kTolerance * (1.0 + std::fabs(ref[0].at(e))),
+                            what + " element " + std::to_string(e));
+                }
+            }
+        }
     }
 }
 

@@ -596,9 +596,10 @@ cmdRun(int argc, char **argv)
     using clock = std::chrono::steady_clock;
     std::vector<exec::Tensor> outputs;
     std::vector<double> times;
+    exec::CpuBackendStats st; // the last repeat's counters
     for (int r = 0; r < repeat; ++r) {
         auto t0 = clock::now();
-        outputs = be->run(*plan, inputs);
+        outputs = be->run(*plan, inputs, &st);
         double ms = std::chrono::duration<double, std::milli>(
                         clock::now() - t0).count();
         times.push_back(ms);
@@ -619,7 +620,6 @@ cmdRun(int argc, char **argv)
                                : support::defaultThreadCount(),
                 simd, static_cast<long long>(tiles.rowTile),
                 static_cast<long long>(tiles.kBlock));
-    const exec::CpuBackendStats st = be->lastRunStats();
     if (st.poolHighWaterBytes > 0) {
         std::printf("  intermediate pool high-water %s\n",
                     formatBytes(static_cast<std::uint64_t>(
