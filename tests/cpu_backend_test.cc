@@ -8,7 +8,8 @@
  * {1, 4}, threads {1, 4}, stages {0, 3}; outputs must agree within
  * 1e-4 relative tolerance and be byte-identical at every thread
  * count.  Executed outputs are also pinned byte for byte against
- * tests/exec_digests.txt, and the prepared-plan cache is held to its
+ * tests/exec_digests.txt, their work counters against
+ * tests/exec_counters.txt, and the prepared-plan cache is held to its
  * contract: a reused preparation never changes what a run computes.
  */
 #include <gtest/gtest.h>
@@ -568,6 +569,48 @@ TEST(CpuBackendCache, ReusedKeyWithOtherCountsIsRefused)
     EXPECT_THROW(backend.run(other, inputs), FatalError);
 }
 
+TEST(CpuBackendCache, PreparedPlanRunsOnFreshInputs)
+{
+    // A preparation must hold no input or buffer of the run that made
+    // it: one prepared plan runs new inputs, alone and concurrently,
+    // exactly as a fresh backend does.  Constants keep the backend's
+    // seed; only the inputs change.
+    core::CompileSession session(device::adreno740(), 1);
+    session.setPlanCacheDir("");
+    for (const char *model : {"Swin", "ResNext"}) {
+        const PlanPtr plan = keyedTinyPlan(session, model, 3);
+        constexpr int kSets = 3;
+        std::map<ir::ValueId, exec::Tensor> inputs[kSets];
+        std::vector<exec::Tensor> fresh[kSets];
+        for (int s = 0; s < kSets; ++s) {
+            inputs[s] = exec::makeSeededInputs(
+                plan->graph, exec::Executor(kSeed + 1 + s));
+            fresh[s] = exec::CpuBackend(backendOptions(1)).run(*plan,
+                                                                inputs[s]);
+        }
+        for (int s = 0; s < kSets; ++s)
+            EXPECT_FALSE(sameBytes(fresh[s], fresh[(s + 1) % kSets]))
+                << model << " input sets " << s << " and "
+                << (s + 1) % kSets << " give the same outputs";
+
+        const exec::CpuBackend shared(backendOptions(1));
+        for (int s : {0, 1, 2, 0})
+            EXPECT_TRUE(sameBytes(shared.run(*plan, inputs[s]), fresh[s]))
+                << model << " input set " << s;
+
+        std::vector<exec::Tensor> got[kSets];
+        std::vector<std::thread> callers;
+        for (int s = 0; s < kSets; ++s)
+            callers.emplace_back(
+                [&, s] { got[s] = shared.run(*plan, inputs[s]); });
+        for (std::thread &c : callers)
+            c.join();
+        for (int s = 0; s < kSets; ++s)
+            EXPECT_TRUE(sameBytes(got[s], fresh[s]))
+                << model << " concurrent input set " << s;
+    }
+}
+
 TEST(CpuBackendStats, CountersDescribeThePlan)
 {
     auto dev = device::adreno740();
@@ -608,6 +651,76 @@ TEST(CpuBackendStats, Stage3MaterializesFewerPassesThanStage0)
     exec::CpuBackend(o).run(plan0, inputs, &s0);
     exec::CpuBackend(o).run(plan3, inputs, &s3);
     EXPECT_LT(s3.kernelsExecuted, s0.kernelsExecuted);
+}
+
+/**
+ * The work counters of every plan ZooOutputsMatchRecordedDigests
+ * runs, pinned against tests/exec_counters.txt: what each run
+ * launched, folded, gathered, relayouted and read or wrote in place.
+ * They depend only on the plan, so they must not change with the
+ * thread count or between a cache miss and a hit.  On a mismatch the
+ * actual manifest is written into the build tree.
+ */
+TEST(CpuBackendStats, ZooCountersMatchRecorded)
+{
+    const std::string manifest =
+        std::string(SMARTMEM_SOURCE_DIR) + "/tests/exec_counters.txt";
+    std::string expected;
+    {
+        std::ifstream in(manifest);
+        std::string line;
+        while (std::getline(in, line))
+            if (!line.empty() && line[0] != '#')
+                expected += line + "\n";
+    }
+    auto counters = [](const exec::CpuBackendStats &s) {
+        return "kernels=" + std::to_string(s.kernelsExecuted) +
+               " relayouts=" + std::to_string(s.relayoutKernels) +
+               " epilogue_ops=" + std::to_string(s.fusedEpilogueOps) +
+               " substitutes=" + std::to_string(s.substitutesMaterialized) +
+               " relayout_bytes=" + std::to_string(s.bytesRelayouted) +
+               " views=" + std::to_string(s.nativeLayoutViews) +
+               " stores=" + std::to_string(s.nativeLayoutStores) +
+               " attention=" + std::to_string(s.fusedAttentionKernels) +
+               " score_bytes=" + std::to_string(s.scoreBytesAvoided);
+    };
+
+    core::CompileSession session(device::adreno740(), 1);
+    session.setPlanCacheDir("");
+    std::string lines;
+    for (const std::string &model : models::evaluationModels()) {
+        for (int stage : {0, 3}) {
+            const std::string name =
+                model + " stage" + std::to_string(stage);
+            PlanPtr plan = keyedTinyPlan(session, model, stage);
+            auto inputs = exec::makeSeededInputs(plan->graph,
+                                                 exec::Executor(kSeed));
+            std::string first;
+            for (int threads : {1, 4}) {
+                const exec::CpuBackend backend(backendOptions(threads));
+                for (int run = 0; run < 2; ++run) {
+                    exec::CpuBackendStats stats;
+                    backend.run(*plan, inputs, &stats);
+                    const std::string got = counters(stats);
+                    if (first.empty())
+                        first = got;
+                    EXPECT_EQ(got, first) << name << " threads " << threads
+                                          << " run " << run;
+                }
+            }
+            lines += name + " " + first + "\n";
+        }
+    }
+    if (lines == expected)
+        return;
+    const std::string written =
+        std::string(SMARTMEM_BINARY_DIR) + "/exec_counters.actual.txt";
+    std::ofstream(written)
+        << "# <model> <stage> <counters of one run>, checked by "
+           "CpuBackendStats.ZooCountersMatchRecorded\n"
+        << lines;
+    ADD_FAILURE() << "run counters differ from the recorded ones: diff "
+                  << manifest << " " << written;
 }
 
 TEST(PlanExecutorRegistry, NamesAndConstruction)
