@@ -457,8 +457,10 @@ run(const bench::BenchOptions &opts, bool print, bench::JsonReport &json)
             const double fused_ms =
                 std::min(timeRun(*sbe, fusedPlan, inOn),
                          timeRun(*sbe, fusedPlan, inOn, &st));
+            // MB = 2^20 bytes, the unit support::formatBytes prints.
             const double score_mb =
-                static_cast<double>(st.scoreBytesAvoided) / 2.0 / 1e6;
+                static_cast<double>(st.scoreBytesAvoided) /
+                (1024.0 * 1024.0);
             auto mbe = runtime::makeExecutor("cpu-blocked", serial);
             const double unfused_ms =
                 std::min(timeRun(*mbe, unfusedPlan, inOff),

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -49,19 +51,61 @@ dimContribution(std::int64_t c, std::int64_t stride, bool packed)
     return packed ? (c / 4) * stride + c % 4 : c * stride;
 }
 
-/** table[d][c]: offset contribution of coordinate c on dimension d
- *  of `shape` stored in layout `l`. */
-DimTables
-dimOffsetTables(const Layout &l, const Shape &shape)
+/** Index of a buffer in a run's pointer table (PlanRunner): a stored
+ *  value, a model input, a constant or a kernel-local value.  The
+ *  preparation numbers them; a run only looks them up. */
+using Buf = std::size_t;
+
+/** The entry every run keeps null: an absent optional operand. */
+constexpr Buf kNone = 0;
+
+/**
+ * Strided accessor over buffer `buf` stored in a non-row-major layout.
+ * At most one dimension (packedDim) is vec4-packed -- its offset
+ * contribution is (c/4)*stride + c%4; every other dim is affine.
+ * Normalization: a packed dim whose raw stride equals the pack factor
+ * (texture x-axis, packed-innermost) or whose extent fits one lane
+ * group contributes exactly c, so it is rewritten to an affine dim of
+ * stride 1 -- that is what makes flat-texture operands directly
+ * consumable by the SIMD GEMM.
+ */
+struct NativeView
 {
-    const auto str = l.strides(shape);
+    Buf buf = kNone;
+    std::vector<std::int64_t> str;
+    int packedDim = -1;
+};
+
+NativeView
+makeNativeView(Buf buf, const Layout &l, const Shape &shape)
+{
+    NativeView v;
+    v.buf = buf;
+    v.str = l.strides(shape);
+    v.packedDim = l.packedDim();
+    if (v.packedDim >= 0) {
+        auto &s = v.str[static_cast<std::size_t>(v.packedDim)];
+        if (s == 4 || shape.dim(v.packedDim) <= 4) {
+            s = 1;
+            v.packedDim = -1;
+        }
+    }
+    return v;
+}
+
+/** table[d][c]: offset contribution of coordinate c on dimension d
+ *  of `shape` read through view `v` (normalizing a packed dim keeps
+ *  every contribution, so any view of one layout gives its tables). */
+DimTables
+dimOffsetTables(const NativeView &v, const Shape &shape)
+{
     DimTables t(static_cast<std::size_t>(shape.rank()));
     for (int d = 0; d < shape.rank(); ++d) {
         auto &td = t[static_cast<std::size_t>(d)];
         td.resize(static_cast<std::size_t>(shape.dim(d)));
         for (std::int64_t c = 0; c < shape.dim(d); ++c)
             td[static_cast<std::size_t>(c)] = dimContribution(
-                c, str[static_cast<std::size_t>(d)], d == l.packedDim());
+                c, v.str[static_cast<std::size_t>(d)], d == v.packedDim);
     }
     return t;
 }
@@ -88,34 +132,56 @@ sharedRun(const std::int64_t *a, const std::int64_t *b, std::int64_t cols)
 }
 
 /**
- * Copy `shape` elements between two physical layouts: unpack, pack,
+ * A copy of `shape` elements between two physical layouts, prepared
+ * once: the per-dimension offset tables of both sides and the
+ * sharedRun() of their innermost ones.  Both tables are empty when
+ * both layouts are row-major, and the copy is one memcpy.
+ */
+struct Relayout
+{
+    Shape shape;
+    DimTables src, dst;
+    std::int64_t run = 1;
+};
+
+Relayout
+planRelayout(const Shape &shape, const Layout &srcL, const Layout &dstL)
+{
+    Relayout rl{shape, {}, {}, 1};
+    if (isRowMajorLayout(srcL) && isRowMajorLayout(dstL))
+        return rl;
+    // rank >= 1: not row-major
+    rl.src = dimOffsetTables(makeNativeView(kNone, srcL, shape), shape);
+    rl.dst = dimOffsetTables(makeNativeView(kNone, dstL, shape), shape);
+    rl.run = sharedRun(rl.src.back().data(), rl.dst.back().data(),
+                       shape.dim(shape.rank() - 1));
+    return rl;
+}
+
+/**
+ * Copy a prepared Relayout's elements from src to dst: unpack, pack,
  * relayout kernels and output extraction.  Walks the rows (every
  * dimension but the innermost) keeping each row's offsets as prefix
- * sums of per-dimension offset tables, so stepping to the next row
- * usually updates one entry, and copies each row in a tight loop over
- * the innermost dimension's tables.  Parallel over row ranges, each
- * chunk seeding its walk from its first row; a pure copy, so the
+ * sums of the per-dimension offset tables, so stepping to the next
+ * row usually updates one entry, and copies each row in a tight loop
+ * over the innermost dimension's tables.  Parallel over row ranges,
+ * each chunk seeding its walk from its first row; a pure copy, so the
  * output is byte-identical at any thread count.
  */
 void
-relayoutCopy(const Shape &shape, const float *src, const Layout &srcL,
-             float *dst, const Layout &dstL)
+relayoutCopy(const Relayout &rl, const float *src, float *dst)
 {
+    const Shape &shape = rl.shape;
     const std::int64_t total = shape.numElements();
-    if (total == 0)
-        return;
-    if (isRowMajorLayout(srcL) && isRowMajorLayout(dstL)) {
+    if (rl.src.empty()) {
         std::memcpy(dst, src,
                     static_cast<std::size_t>(total) * sizeof(float));
         return;
     }
-    const int outer = shape.rank() - 1; // rank >= 1: not row-major
-    const auto st = dimOffsetTables(srcL, shape);
-    const auto dt = dimOffsetTables(dstL, shape);
+    const int outer = shape.rank() - 1;
     const std::int64_t cols = shape.dim(outer);
-    const std::int64_t *sIn = st.back().data();
-    const std::int64_t *dIn = dt.back().data();
-    const std::int64_t run = sharedRun(sIn, dIn, cols);
+    const std::int64_t *sIn = rl.src.back().data();
+    const std::int64_t *dIn = rl.dst.back().data();
     parallelFor(total / cols, std::max<std::int64_t>(1, 4096 / cols),
                 [&](std::int64_t r0, std::int64_t r1) {
         const auto n = static_cast<std::size_t>(outer);
@@ -131,15 +197,15 @@ relayoutCopy(const Shape &shape, const float *src, const Layout &srcL,
         for (std::int64_t r = r0; r < r1; ++r) {
             for (std::size_t d = from; d < n; ++d) {
                 const auto c = static_cast<std::size_t>(coord[d]);
-                sPre[d + 1] = sPre[d] + st[d][c];
-                dPre[d + 1] = dPre[d] + dt[d][c];
+                sPre[d + 1] = sPre[d] + rl.src[d][c];
+                dPre[d + 1] = dPre[d] + rl.dst[d][c];
             }
             const float *s = src + sPre[n];
             float *o = dst + dPre[n];
-            if (run == cols) {
+            if (rl.run == cols) {
                 std::memcpy(o, s, static_cast<std::size_t>(cols) *
                                       sizeof(float));
-            } else if (run == 4) {
+            } else if (rl.run == 4) {
                 for (std::int64_t x = 0; x < cols; x += 4) {
                     const float *a = s + sIn[x];
                     float *b = o + dIn[x];
@@ -161,62 +227,20 @@ relayoutCopy(const Shape &shape, const float *src, const Layout &srcL,
     });
 }
 
-/**
- * Strided accessor over a buffer stored in a non-row-major layout.
- * At most one dimension (packedDim) is vec4-packed -- its offset
- * contribution is (c/4)*stride + c%4; every other dim is affine.
- * Normalization: a packed dim whose raw stride equals the pack factor
- * (texture x-axis, packed-innermost) or whose extent fits one lane
- * group contributes exactly c, so it is rewritten to an affine dim of
- * stride 1 -- that is what makes flat-texture operands directly
- * consumable by the SIMD GEMM.
- */
-struct NativeView
-{
-    const float *data = nullptr;
-    std::vector<std::int64_t> str;
-    int packedDim = -1;
-};
-
-NativeView
-makeNativeView(const float *data, const Layout &l, const Shape &shape)
-{
-    NativeView v;
-    v.data = data;
-    v.str = l.strides(shape);
-    v.packedDim = l.packedDim();
-    if (v.packedDim >= 0) {
-        auto &s = v.str[static_cast<std::size_t>(v.packedDim)];
-        if (s == 4 || shape.dim(v.packedDim) <= 4) {
-            s = 1;
-            v.packedDim = -1;
-        }
-    }
-    return v;
-}
-
-/** Physical offset of each flattened leading-dims index (matmul batch
- *  coordinates), honoring a packed batch dim. */
+/** Physical offset of each flattened leading-dims index of `s` (matmul
+ *  batch coordinates) in view `vw`, honoring a packed batch dim. */
 std::vector<std::int64_t>
-batchOffsets(const NativeView &vw, const Shape &s, int nBatchDims,
-             std::int64_t batch)
+batchOffsets(const NativeView &vw, const Shape &s)
 {
-    std::vector<std::int64_t> off(static_cast<std::size_t>(batch), 0);
-    std::vector<std::int64_t> coord(
-        static_cast<std::size_t>(nBatchDims), 0);
-    for (std::int64_t bi = 0; bi < batch; ++bi) {
-        std::int64_t o = 0;
-        for (int d = 0; d < nBatchDims; ++d)
-            o += dimContribution(coord[static_cast<std::size_t>(d)],
-                                 vw.str[static_cast<std::size_t>(d)],
-                                 d == vw.packedDim);
-        off[static_cast<std::size_t>(bi)] = o;
-        for (int d = nBatchDims - 1; d >= 0; --d) {
-            const auto di = static_cast<std::size_t>(d);
-            if (++coord[di] < s.dim(d))
-                break;
-            coord[di] = 0;
-        }
+    std::vector<std::int64_t> off{0};
+    for (int d = 0; d + 2 < s.rank(); ++d) {
+        std::vector<std::int64_t> next;
+        for (std::int64_t o : off)
+            for (std::int64_t c = 0; c < s.dim(d); ++c)
+                next.push_back(o + dimContribution(
+                                       c, vw.str[static_cast<std::size_t>(d)],
+                                       d == vw.packedDim));
+        off.swap(next);
     }
     return off;
 }
@@ -378,23 +402,6 @@ suffixBroadcastModulo(const Shape &os, const Shape &obs)
     return m;
 }
 
-/** A value materialized while executing one kernel.  Usually a
- *  row-major scratch view; a kernel whose anchor op stored its result
- *  directly in the kernel's chosen output layout sets inOutLayout so
- *  publishOutput() can skip the repack. */
-struct LocalBuf
-{
-    const float *data = nullptr;
-    bool owned = false; // release to the pool at kernel end
-    bool inOutLayout = false;
-};
-
-/** A stored (value, copy) and the layout it was stored in. */
-struct StoredBuf
-{
-    const float *data = nullptr;
-    const Layout *layout = nullptr;
-};
 
 // -------------------------------------------------------------------
 // Interned constants: one 64-byte-aligned copy of each distinct
@@ -522,461 +529,462 @@ class ConstantStore
 };
 
 // -------------------------------------------------------------------
-// PreparedPlan: everything a run needs that depends only on the plan
-// and the seed.  It keeps no copy of the plan: a run reads the kernels
-// and the graph from the plan it is given, which the cacheKey contract
-// makes interchangeable with the one prepared.
+// Launch lists: a preparation lowers every kernel of a plan to bound
+// steps once, and a run only walks them
 // -------------------------------------------------------------------
 
-class PreparedPlan
+class PlanRunner;
+
+/** One bound action of a launch: materialize an operand, call a
+ *  kernel, apply an epilogue or copy between layouts.  It reaches
+ *  buffers through the runner by index, so concurrent runs share it. */
+using Step = std::function<void(PlanRunner &)>;
+
+/** One plan kernel, lowered. */
+struct Launch
 {
-  public:
-    /** Slot of a value no kernel stores: a model input or constant,
-     *  read row-major. */
-    static constexpr std::size_t kBoundary = static_cast<std::size_t>(-1);
+    std::vector<Step> steps; ///< in the order a run performs them
 
-    /** Where a kernel input (or graph output) is read from. */
-    struct Source
-    {
-        /** Index of the kernel that stores the value -- the run's
-         *  buffer slot for it -- or kBoundary. */
-        std::size_t slot = kBoundary;
+    /** Released after the steps: the kernel's scratch by value, then
+     *  the stored values it reads last, by (value, copy). */
+    std::vector<Buf> release;
+};
 
-        /** The layout the value is stored in (row-major for boundary
-         *  values and for a kernel's internal sources). */
-        Layout layout;
+/** A model input a run reads, checked against the caller's inputs. */
+struct ModelInput
+{
+    Buf buf;
+    ValueId id;
+    Shape shape;
+    std::string name;
+};
 
-        /** A substituted input's read map, lowered over `layout`. */
-        std::optional<LoweredRead> read;
-    };
-
-    struct PreparedKernel
-    {
-        std::vector<Source> inputs; ///< aligned with Kernel::inputs
-
-        /** Slots whose last reader this kernel is, in (value, copy)
-         *  order, released once it has run. */
-        std::vector<std::size_t> release;
-    };
-
+/**
+ * Everything a run needs that depends only on the plan and the seed.
+ * A run reads nothing of the plan it is given but the counts
+ * checkMatches compares: the cacheKey contract makes that plan
+ * interchangeable with the one prepared.  Concurrent runs share it.
+ */
+struct PreparedPlan
+{
     PreparedPlan(const ExecutionPlan &plan, std::uint64_t seed,
                  ConstantStore &store);
 
     /** Raise FatalError unless `plan` has the kernel and value counts
      *  of the plan this was prepared from. */
-    void checkMatches(const ExecutionPlan &plan) const;
+    void checkMatches(const ExecutionPlan &plan) const
+    {
+        SM_REQUIRE(plan.kernels.size() == launches.size() &&
+                       plan.graph.values().size() == valueCount,
+                   "plan '" + plan.cacheKey + "' has " +
+                       std::to_string(plan.kernels.size()) +
+                       " kernels and " +
+                       std::to_string(plan.graph.values().size()) +
+                       " values, its preparation " +
+                       std::to_string(launches.size()) + " and " +
+                       std::to_string(valueCount));
+    }
 
-    std::vector<PreparedKernel> kernels; ///< aligned with plan.kernels
-    std::vector<Source> outputs;         ///< per graph output
+    std::vector<Launch> launches;     ///< aligned with plan.kernels
+    /** Per graph output: where it is stored, its copy to row-major. */
+    std::vector<std::pair<Buf, Relayout>> outputs;
+    std::vector<ModelInput> inputs;
 
-    /** Graph::consumers() of every value, by value id. */
-    std::vector<std::vector<ir::NodeId>> consumers;
+    /** A run's buffer table as it starts: constants set, every other
+     *  entry (kNone, model inputs, values a run allocates) null. */
+    std::vector<const float *> bufs{nullptr};
 
-    /** Surviving eliminable Transform/Select nodes, lowered over their
-     *  row-major input. */
-    std::map<ir::NodeId, LoweredRead> transforms;
-
-    /** Interned row-major contents of every constant a kernel reads,
-     *  by value id (null elsewhere), resident for the preparation's
-     *  lifetime -- the paper's weights stay in memory. */
+    /** The interned constants `bufs` points into, resident for the
+     *  preparation's lifetime -- the paper's weights stay in memory. */
     std::vector<std::shared_ptr<const ConstantBlock>> constants;
 
-  private:
-    std::size_t valueCount_;
+    /** The counters of a run that depend only on the plan. */
+    CpuBackendStats counts;
+
+    std::size_t valueCount = 0;
 };
 
-PreparedPlan::PreparedPlan(const ExecutionPlan &plan, std::uint64_t seed,
-                           ConstantStore &store)
-    : valueCount_(plan.graph.values().size())
+/** One run of a prepared plan: its buffer table, pool, SIMD level
+ *  and tiles.  Steps reach a run's state only through it. */
+class PlanRunner
 {
-    const ir::Graph &g = plan.graph;
-    const std::size_t nk = plan.kernels.size();
-    const Executor synth(seed);
+  public:
+    PlanRunner(const PreparedPlan &prep, const CpuBackendOptions &opts)
+        : simd(activeSimdLevel()), prep_(prep)
+    {
+        if (opts.gemmRowTile > 0)
+            tiles.rowTile = opts.gemmRowTile;
+        if (opts.gemmKBlock > 0)
+            tiles.kBlock = opts.gemmKBlock;
+    }
 
-    constants.resize(valueCount_);
-    auto addConstant = [&](ValueId v) {
-        auto &c = constants[static_cast<std::size_t>(v)];
-        if (!c && g.node(g.value(v).producer).kind == OpKind::Constant)
-            c = store.intern(synth.synthesizeConstant(g, v));
+    std::vector<Tensor> run(const std::map<ValueId, Tensor> &inputs,
+                            CpuBackendStats *stats_out);
+
+    const float *operator[](Buf b) const { return bufs_[b]; }
+
+    /** A buffer this run allocated, for writing in place. */
+    float *owned(Buf b) const { return const_cast<float *>(bufs_[b]); }
+
+    float *alloc(Buf b, std::int64_t elems)
+    {
+        float *p = pool.allocateFloats(elems);
+        bufs_[b] = p;
+        return p;
+    }
+
+    const SimdLevel simd;
+    TileParams tiles;
+    runtime::BufferPool pool;
+
+    /** An epilogue program with this run's operands (scratch). */
+    std::vector<EpilogueStep> epilogue;
+
+  private:
+    const PreparedPlan &prep_;
+    std::vector<const float *> bufs_;
+};
+
+std::int64_t
+floatBytes(const Shape &shape)
+{
+    return shape.numElements() * static_cast<std::int64_t>(sizeof(float));
+}
+
+/**
+ * Lowers a plan into a PreparedPlan.  For each kernel, in the order it
+ * runs, it decides how every operand is read and every output stored,
+ * which element-wise ops fold into an epilogue and what each attribute
+ * holds, and binds each decision into a step.
+ */
+class Lowering
+{
+  public:
+    Lowering(const ExecutionPlan &plan, std::uint64_t seed,
+             ConstantStore &store, PreparedPlan &prep)
+        : plan_(plan), g_(plan.graph), synth_(seed), store_(store),
+          prep_(prep), counts_(prep.counts)
+    {
+    }
+
+    void lower();
+
+  private:
+    /** Where a kernel input's source is stored, and in what layout
+     *  (row-major for boundary values and internal sources). */
+    struct Source
+    {
+        Buf buf = kNone;
+        Layout layout;
     };
 
-    std::map<std::pair<ValueId, int>, std::size_t> slotOf;
+    /** A value of the kernel being lowered, row-major unless its
+     *  anchor op stored it in the kernel's output layout. */
+    struct KernelValue
+    {
+        Buf buf = kNone;
+        bool owned = false; ///< allocated by the kernel, released by it
+        bool inOutLayout = false;
+    };
+
+    const Shape &shapeOf(ValueId v) const { return g_.value(v).shape; }
+
+    Buf newBuf()
+    {
+        prep_.bufs.push_back(nullptr);
+        return prep_.bufs.size() - 1;
+    }
+
+    /** A new buffer the kernel allocates for `v`. */
+    Buf newValue(ValueId v, bool inOutLayout = false)
+    {
+        const Buf b = newBuf();
+        values_[v] = {b, true, inOutLayout};
+        return b;
+    }
+
+    /** The buffer of a model input or constant, numbered on first
+     *  read; any other value is read before it was produced. */
+    Buf boundary(ValueId v)
+    {
+        Buf &b = boundary_[static_cast<std::size_t>(v)];
+        const Node &producer = g_.node(g_.value(v).producer);
+        if (b != kNone)
+            return b;
+        if (producer.kind == OpKind::Input) {
+            b = newBuf();
+            prep_.inputs.push_back({b, v, shapeOf(v), producer.name});
+        } else if (producer.kind == OpKind::Constant) {
+            b = newBuf();
+            prep_.constants.push_back(
+                store_.intern(synth_.synthesizeConstant(g_, v)));
+            prep_.bufs[b] = prep_.constants.back()->data();
+        } else {
+            smPanic("value " + std::to_string(v) +
+                    " read before it was produced");
+        }
+        return b;
+    }
+
+    /** The stored source of (v, copy) for a reader at kernel
+     *  `reader`. */
+    Source sourceOf(ValueId v, int copy, std::size_t reader)
+    {
+        auto it = slotOf_.find({v, copy});
+        if (it != slotOf_.end() && it->second < reader)
+            return {slotBuf_[it->second],
+                    plan_.kernels[it->second].outLayout};
+        SM_ASSERT(copy == 0,
+                  "missing stored copy of value " + std::to_string(v));
+        return {boundary(v), Layout::rowMajor(shapeOf(v).rank())};
+    }
+
+    void copyStep(Buf from, Buf to, std::int64_t toElems, Relayout rl)
+    {
+        launch_->steps.push_back(
+            [from, to, toElems, rl = std::move(rl)](PlanRunner &r) {
+                relayoutCopy(rl, r[from], r.alloc(to, toElems));
+            });
+    }
+
+    /** Index of the kernel input whose substitute is `v`, or -1. */
+    int inputOf(ValueId v) const
+    {
+        for (std::size_t i = 0; i < k_->inputs.size(); ++i)
+            if (k_->inputs[i].substitute == v)
+                return static_cast<int>(i);
+        return -1;
+    }
+
+    /** A view of `v` where it is stored when a kernel may read it in
+     *  place: an input stored non-row-major, not substituted and not
+     *  yet materialized row-major; else nullopt (use operand()). */
+    std::optional<NativeView> storedView(ValueId v) const
+    {
+        const int idx = inputOf(v);
+        if (values_.count(v) || idx < 0)
+            return std::nullopt;
+        const KernelInput &in = k_->inputs[static_cast<std::size_t>(idx)];
+        const Source &src = sources_[static_cast<std::size_t>(idx)];
+        if (in.substitute != in.source || isRowMajorLayout(src.layout))
+            return std::nullopt;
+        return makeNativeView(src.buf, src.layout, shapeOf(v));
+    }
+
+    /** `v` with offset tables for reading it where it is: its stored
+     *  view when storedView finds one, else its row-major operand. */
+    std::pair<Buf, DimTables> tableOperand(ValueId v)
+    {
+        const Shape &shape = shapeOf(v);
+        if (auto nv = storedView(v)) {
+            ++counts_.nativeLayoutViews;
+            return {nv->buf, dimOffsetTables(*nv, shape)};
+        }
+        const NativeView rowMajor =
+            makeNativeView(kNone, Layout::rowMajor(shape.rank()), shape);
+        return {operand(v), dimOffsetTables(rowMajor, shape)};
+    }
+
+    /** Stride view of the kernel's output layout when the anchor op
+     *  may store into it directly: a single-node kernel whose node
+     *  produces the kernel output in a non-row-major layout. */
+    std::optional<NativeView> outputView(const Node &node) const
+    {
+        if (k_->fusedNodes.size() != 1 || node.output != k_->output ||
+            isRowMajorLayout(k_->outLayout))
+            return std::nullopt;
+        return makeNativeView(kNone, k_->outLayout, shapeOf(node.output));
+    }
+
+    Buf lowerKernel(std::size_t ki);
+    void lowerNode(const Node &node);
+    bool foldStep(ValueId cur, const Node &next, EpilogueStep *step,
+                  Buf *other);
+    Buf operand(ValueId v);
+
+    const ExecutionPlan &plan_;
+    const ir::Graph &g_;
+    const Executor synth_;
+    ConstantStore &store_;
+    PreparedPlan &prep_;
+    CpuBackendStats &counts_;
+
+    std::map<std::pair<ValueId, int>, std::size_t> slotOf_;
+    std::vector<Buf> slotBuf_;  ///< by kernel: where its output is stored
+    std::vector<Buf> boundary_; ///< by value: model inputs and constants
+    std::vector<std::vector<ir::NodeId>> consumers_; ///< by value
+
+    // The kernel being lowered.
+    const Kernel *k_ = nullptr;
+    Launch *launch_ = nullptr;
+    std::vector<Source> sources_; ///< aligned with k_->inputs
+    std::map<ValueId, KernelValue> values_;
+};
+
+void
+Lowering::lower()
+{
+    const std::size_t nk = plan_.kernels.size();
+    const std::size_t nv = g_.values().size();
     for (std::size_t i = 0; i < nk; ++i) {
-        const Kernel &k = plan.kernels[i];
-        SM_ASSERT(slotOf.emplace(std::make_pair(k.output, k.copyIndex), i)
+        const Kernel &k = plan_.kernels[i];
+        SM_ASSERT(slotOf_.emplace(std::make_pair(k.output, k.copyIndex), i)
                       .second,
                   "value " + std::to_string(k.output) + " stored twice");
     }
-    // The stored source of (v, copy) for a reader at kernel `reader`.
-    auto sourceOf = [&](ValueId v, int copy, std::size_t reader) {
-        Source src;
-        auto it = slotOf.find({v, copy});
-        if (it != slotOf.end() && it->second < reader) {
-            src.slot = it->second;
-            src.layout = plan.kernels[it->second].outLayout;
-            return src;
-        }
-        SM_ASSERT(copy == 0,
-                  "missing stored copy of value " + std::to_string(v));
-        const OpKind kind = g.node(g.value(v).producer).kind;
-        if (kind != OpKind::Input && kind != OpKind::Constant)
-            smPanic("value " + std::to_string(v) +
-                    " read before it was produced");
-        addConstant(v);
-        src.layout = Layout::rowMajor(g.value(v).shape.rank());
-        return src;
-    };
-
-    kernels.resize(nk);
-    for (std::size_t i = 0; i < nk; ++i) {
-        const Kernel &k = plan.kernels[i];
-        for (const KernelInput &in : k.inputs) {
-            const Shape &srcShape = g.value(in.source).shape;
-            Source src;
-            if (in.internalSource)
-                src.layout = Layout::rowMajor(srcShape.rank());
-            else
-                src = sourceOf(in.source, in.sourceCopy, i);
-            if (in.substitute != in.source) {
-                SM_ASSERT(in.readMap.has_value(),
-                          "substituted input without a read map");
-                src.read = lowerRead(*in.readMap, src.layout, srcShape);
-            }
-            kernels[i].inputs.push_back(std::move(src));
-        }
-        for (ir::NodeId id : k.fusedNodes) {
-            const Node &node = g.node(id);
-            for (ValueId v : node.inputs)
-                addConstant(v);
-            const ir::OpInfo &info = ir::opInfo(node.kind);
-            if ((info.category == ir::OpCategory::Transform ||
-                 info.category == ir::OpCategory::Select) &&
-                info.eliminable) {
-                const Shape &xs = g.value(node.inputs[0]).shape;
-                transforms.emplace(
-                    id, lowerRead(index::IndexMap::fromNode(g, node)
-                                      .simplified(),
-                                  Layout::rowMajor(xs.rank()), xs));
-            }
-        }
+    boundary_.assign(nv, kNone);
+    consumers_.resize(nv);
+    for (const Node &n : g_.nodes()) {
+        for (auto it = n.inputs.begin(); it != n.inputs.end(); ++it)
+            if (std::find(n.inputs.begin(), it, *it) == it)
+                consumers_[static_cast<std::size_t>(*it)].push_back(n.id);
     }
-    for (ValueId id : g.outputIds())
-        outputs.push_back(sourceOf(id, 0, nk));
+
+    prep_.launches.resize(nk);
+    slotBuf_.resize(nk);
+    for (std::size_t i = 0; i < nk; ++i)
+        slotBuf_[i] = lowerKernel(i);
+    counts_.kernelsExecuted = static_cast<int>(nk);
+
+    for (ValueId id : g_.outputIds()) {
+        const Source src = sourceOf(id, 0, nk);
+        const Shape &shape = shapeOf(id);
+        prep_.outputs.push_back(
+            {src.buf, planRelayout(shape, src.layout,
+                                   Layout::rowMajor(shape.rank()))});
+    }
 
     // Release each stored value after its last reader, or right after
     // its producer when nothing reads it; graph outputs live to the
-    // end.  slotOf iterates in (value, copy) order.
-    const auto lastUse = runtime::lastUses(plan);
-    for (const auto &[key, slot] : slotOf) {
+    // end.  slotOf_ iterates in (value, copy) order.
+    const auto lastUse = runtime::lastUses(plan_);
+    for (const auto &[key, slot] : slotOf_) {
         auto lu = lastUse.find(key);
         const std::size_t at =
             lu == lastUse.end() ? slot : std::max(slot, lu->second);
         if (at < nk)
-            kernels[at].release.push_back(slot);
-    }
-
-    consumers.resize(valueCount_);
-    for (const Node &n : g.nodes()) {
-        for (auto it = n.inputs.begin(); it != n.inputs.end(); ++it)
-            if (std::find(n.inputs.begin(), it, *it) == it)
-                consumers[static_cast<std::size_t>(*it)].push_back(n.id);
+            prep_.launches[at].release.push_back(slotBuf_[slot]);
     }
 }
 
-void
-PreparedPlan::checkMatches(const ExecutionPlan &plan) const
-{
-    SM_REQUIRE(plan.kernels.size() == kernels.size() &&
-                   plan.graph.values().size() == valueCount_,
-               "plan '" + plan.cacheKey + "' has " +
-                   std::to_string(plan.kernels.size()) + " kernels and " +
-                   std::to_string(plan.graph.values().size()) +
-                   " values, its preparation " +
-                   std::to_string(kernels.size()) + " and " +
-                   std::to_string(valueCount_));
-}
-
-// -------------------------------------------------------------------
-// PlanRunner: one run of a prepared plan
-// -------------------------------------------------------------------
-
-class PlanRunner
-{
-  public:
-    PlanRunner(const PreparedPlan &prep, const ExecutionPlan &plan,
-               const std::map<ValueId, Tensor> &inputs,
-               const CpuBackendOptions &opts)
-        : prep_(prep), plan_(plan), graph_(plan.graph), inputs_(inputs),
-          simd_(activeSimdLevel()),
-          stored_(plan.kernels.size())
-    {
-        if (opts.gemmRowTile > 0)
-            tiles_.rowTile = opts.gemmRowTile;
-        if (opts.gemmKBlock > 0)
-            tiles_.kBlock = opts.gemmKBlock;
-    }
-
-    std::vector<Tensor> run(CpuBackendStats *stats_out);
-
-  private:
-    const Shape &shapeOf(ValueId v) const
-    {
-        return graph_.value(v).shape;
-    }
-
-    float *alloc(std::int64_t elems)
-    {
-        return pool_.allocateFloats(elems);
-    }
-
-    /** A model input or constant (row-major, borrowed). */
-    const float *boundaryData(ValueId v);
-
-    /** The stored buffer `src` (prepared for value v) names. */
-    StoredBuf resolveStored(const PreparedPlan::Source &src, ValueId v);
-
-    /** Row-major view of `v` inside the current kernel, materializing
-     *  substitutes through their lowered reads on first use. */
-    const float *resolveLocal(const Kernel &k, ValueId v);
-
-    /** `v`'s *stored* buffer for layout-native consumption, or
-     *  nullopt when the value must go through resolveLocal (already
-     *  materialized locally, substituted through a read map, or
-     *  stored row-major anyway). */
-    std::optional<StoredBuf> tryStoredBuf(const Kernel &k, ValueId v);
-
-    /** Strided view of tryStoredBuf's buffer. */
-    std::optional<NativeView> tryStoredView(const Kernel &k, ValueId v);
-
-    /** `v` with offset tables for reading it where it is: its stored
-     *  buffer when tryStoredBuf finds one (counted as a native view),
-     *  else its row-major local view. */
-    std::pair<const float *, DimTables> tableView(const Kernel &k,
-                                                  ValueId v);
-
-    /** Stride view of the kernel's output layout when the anchor op
-     *  may store into it directly: single-node kernel whose node
-     *  produces the kernel output in a non-row-major layout. */
-    std::optional<NativeView> tryNativeStore(const Kernel &k,
-                                             const Node &node);
-
-    void runRelayoutKernel(std::size_t ki);
-    void runComputeKernel(std::size_t ki);
-    void runNode(const Kernel &k, const Node &node);
-    bool tryFoldEpilogue(const Kernel &k, ValueId cur, const Node &next,
-                         EpilogueStep *step);
-    void publishOutput(std::size_t ki);
-    void releaseDead(std::size_t ki);
-
-    const PreparedPlan &prep_;
-    const ExecutionPlan &plan_;
-    const ir::Graph &graph_;
-    const std::map<ValueId, Tensor> &inputs_;
-    SimdLevel simd_;
-    TileParams tiles_;
-    runtime::BufferPool pool_;
-    CpuBackendStats stats_;
-
-    /** Stored buffers by slot (producing kernel index); pool-owned. */
-    std::vector<StoredBuf> stored_;
-
-    // Per-kernel state.
-    const PreparedPlan::PreparedKernel *kernelPrep_ = nullptr;
-    std::map<ValueId, LocalBuf> locals_;
-};
-
-/** Index of the kernel input whose substitute is `v`, or -1. */
-int
-inputIndex(const Kernel &k, ValueId v)
-{
-    for (std::size_t i = 0; i < k.inputs.size(); ++i)
-        if (k.inputs[i].substitute == v)
-            return static_cast<int>(i);
-    return -1;
-}
-
-const float *
-PlanRunner::boundaryData(ValueId v)
-{
-    const Node &producer = graph_.node(graph_.value(v).producer);
-    if (producer.kind == OpKind::Input) {
-        auto in = inputs_.find(v);
-        SM_REQUIRE(in != inputs_.end(),
-                   "missing model input: " + producer.name);
-        SM_REQUIRE(in->second.shape() == shapeOf(v),
-                   "input shape mismatch: " + producer.name);
-        return in->second.data();
-    }
-    if (producer.kind == OpKind::Constant) {
-        const auto &c = prep_.constants[static_cast<std::size_t>(v)];
-        SM_ASSERT(c, "constant " + std::to_string(v) + " not prepared");
-        return c->data();
-    }
-    smPanic("value " + std::to_string(v) +
-            " read before it was produced");
-}
-
-StoredBuf
-PlanRunner::resolveStored(const PreparedPlan::Source &src, ValueId v)
-{
-    if (src.slot == PreparedPlan::kBoundary)
-        return {boundaryData(v), &src.layout};
-    const StoredBuf &s = stored_[src.slot];
-    SM_ASSERT(s.data, "value " + std::to_string(v) + " read after release");
-    SM_ASSERT(*s.layout == src.layout,
-              "value " + std::to_string(v) +
-                  " stored in another layout than prepared");
-    return s;
-}
-
-const float *
-PlanRunner::resolveLocal(const Kernel &k, ValueId v)
-{
-    auto lit = locals_.find(v);
-    if (lit != locals_.end())
-        return lit->second.data;
-
-    const int idx = inputIndex(k, v);
-    if (idx >= 0) {
-        const KernelInput &in = k.inputs[static_cast<std::size_t>(idx)];
-        const PreparedPlan::Source &src =
-            kernelPrep_->inputs[static_cast<std::size_t>(idx)];
-        if (src.read) {
-            // Eliminated chain: read the stored source through the
-            // lowered composed map -- one pass for the whole chain.
-            const float *src_data = nullptr;
-            if (in.internalSource) {
-                auto sit = locals_.find(in.source);
-                SM_ASSERT(sit != locals_.end(),
-                          "internal source not yet produced in " +
-                              k.name);
-                src_data = sit->second.data;
-            } else {
-                src_data = resolveStored(src, in.source).data;
-            }
-            float *dst = alloc(shapeOf(v).numElements());
-            gather(*src.read, src_data, dst);
-            ++stats_.substitutesMaterialized;
-            locals_[v] = {dst, true};
-            return dst;
-        }
-        StoredBuf s = resolveStored(src, in.source);
-        if (isRowMajorLayout(*s.layout)) {
-            locals_[v] = {s.data, false};
-            return s.data;
-        }
-        // Unpack the chosen physical layout into the compute view.
-        const Shape &shape = shapeOf(v);
-        float *dst = alloc(shape.numElements());
-        relayoutCopy(shape, s.data, *s.layout, dst,
-                     Layout::rowMajor(shape.rank()));
-        stats_.bytesRelayouted +=
-            shape.numElements() *
-            static_cast<std::int64_t>(sizeof(float));
-        locals_[v] = {dst, true};
-        return dst;
-    }
-
-    // Not an external kernel input: constants (implicit inputs) and,
-    // defensively, model inputs.
-    const OpKind kind = graph_.node(graph_.value(v).producer).kind;
-    if (kind == OpKind::Constant || kind == OpKind::Input)
-        return boundaryData(v);
-    smPanic("fused node input not available in " + k.name + ": value " +
-            std::to_string(v));
-}
-
-std::optional<StoredBuf>
-PlanRunner::tryStoredBuf(const Kernel &k, ValueId v)
-{
-    if (locals_.count(v))
-        return std::nullopt; // already materialized row-major
-    const int idx = inputIndex(k, v);
-    if (idx < 0)
-        return std::nullopt; // constant / implicit input (row-major)
-    const PreparedPlan::Source &src =
-        kernelPrep_->inputs[static_cast<std::size_t>(idx)];
-    if (src.read)
-        return std::nullopt; // read-map chain: materialize instead
-    StoredBuf s =
-        resolveStored(src, k.inputs[static_cast<std::size_t>(idx)].source);
-    if (isRowMajorLayout(*s.layout))
-        return std::nullopt; // zero-copy row-major path is free
-    return s;
-}
-
-std::optional<NativeView>
-PlanRunner::tryStoredView(const Kernel &k, ValueId v)
-{
-    if (auto s = tryStoredBuf(k, v))
-        return makeNativeView(s->data, *s->layout, shapeOf(v));
-    return std::nullopt;
-}
-
-std::pair<const float *, DimTables>
-PlanRunner::tableView(const Kernel &k, ValueId v)
-{
-    const Shape &shape = shapeOf(v);
-    if (auto s = tryStoredBuf(k, v)) {
-        ++stats_.nativeLayoutViews;
-        return {s->data, dimOffsetTables(*s->layout, shape)};
-    }
-    return {resolveLocal(k, v),
-            dimOffsetTables(Layout::rowMajor(shape.rank()), shape)};
-}
-
-std::optional<NativeView>
-PlanRunner::tryNativeStore(const Kernel &k, const Node &node)
-{
-    if (k.fusedNodes.size() != 1 || node.output != k.output)
-        return std::nullopt;
-    if (isRowMajorLayout(k.outLayout))
-        return std::nullopt;
-    return makeNativeView(nullptr, k.outLayout, shapeOf(node.output));
-}
-
-void
-PlanRunner::runRelayoutKernel(std::size_t ki)
+/** Lower kernel `ki` into launch_; returns the buffer its output is
+ *  stored in. */
+Buf
+Lowering::lowerKernel(std::size_t ki)
 {
     const Kernel &k = plan_.kernels[ki];
-    SM_ASSERT(k.inputs.size() == 1,
-              "relayout kernel with != 1 input: " + k.name);
-    StoredBuf src =
-        resolveStored(prep_.kernels[ki].inputs[0], k.inputs[0].source);
     const Shape &shape = shapeOf(k.output);
-    float *dst = alloc(k.outLayout.storageElements(shape));
-    relayoutCopy(shape, src.data, *src.layout, dst, k.outLayout);
-    stats_.bytesRelayouted +=
-        shape.numElements() * static_cast<std::int64_t>(sizeof(float));
-    ++stats_.relayoutKernels;
-    stored_[ki] = {dst, &k.outLayout};
+    launch_ = &prep_.launches[ki];
+    if (k.fusedNodes.empty()) {
+        SM_ASSERT(k.isLayoutCopy && k.inputs.size() == 1,
+                  "empty kernel must be a one-input layout copy: " + k.name);
+        const Source src =
+            sourceOf(k.inputs[0].source, k.inputs[0].sourceCopy, ki);
+        const Buf stored = newBuf();
+        copyStep(src.buf, stored, k.outLayout.storageElements(shape),
+                 planRelayout(shape, src.layout, k.outLayout));
+        counts_.bytesRelayouted += floatBytes(shape);
+        ++counts_.relayoutKernels;
+        return stored;
+    }
+    k_ = &k;
+    values_.clear();
+    sources_.clear();
+    for (const KernelInput &in : k.inputs)
+        sources_.push_back(
+            in.internalSource
+                ? Source{kNone,
+                         Layout::rowMajor(shapeOf(in.source).rank())}
+                : sourceOf(in.source, in.sourceCopy, ki));
+
+    std::size_t i = 0;
+    while (i < k.fusedNodes.size()) {
+        const Node &node = g_.node(k.fusedNodes[i]);
+        lowerNode(node);
+        ValueId cur = node.output;
+
+        // Fold the following element-wise chain into one in-place
+        // epilogue pass over the anchor's output.
+        std::vector<EpilogueStep> prog;
+        std::vector<Buf> others;
+        std::size_t j = i + 1;
+        for (; j < k.fusedNodes.size(); ++j) {
+            const Node &next = g_.node(k.fusedNodes[j]);
+            EpilogueStep step;
+            Buf other = kNone;
+            if (!foldStep(cur, next, &step, &other))
+                break;
+            prog.push_back(step);
+            others.push_back(other);
+            cur = next.output;
+        }
+        if (!prog.empty()) {
+            const KernelValue anchor = values_.at(node.output);
+            SM_ASSERT(anchor.owned, "epilogue over a borrowed buffer");
+            counts_.fusedEpilogueOps += static_cast<int>(prog.size());
+            launch_->steps.push_back(
+                [prog = std::move(prog), others = std::move(others),
+                 target = anchor.buf,
+                 n = shapeOf(node.output).numElements()](PlanRunner &r) {
+                    r.epilogue.assign(prog.begin(), prog.end());
+                    for (std::size_t s = 0; s < others.size(); ++s)
+                        r.epilogue[s].other = r[others[s]];
+                    blockedEpilogue(r.epilogue, r.owned(target), n);
+                });
+            values_.erase(node.output);
+            values_[cur] = anchor;
+        }
+        i = j;
+    }
+
+    // Publish: keep the buffer the output was computed in when it is
+    // the kernel's own and already in the kernel's layout, else pack
+    // it into a new one.  Then release the kernel's scratch.
+    auto it = values_.find(k.output);
+    SM_ASSERT(it != values_.end(),
+              "kernel did not produce its output: " + k.name);
+    const KernelValue out = it->second;
+    Buf stored = out.buf;
+    if (!out.inOutLayout &&
+        !(isRowMajorLayout(k.outLayout) && out.owned)) {
+        stored = newBuf();
+        copyStep(out.buf, stored, k.outLayout.storageElements(shape),
+                 planRelayout(shape, Layout::rowMajor(shape.rank()),
+                              k.outLayout));
+        if (!isRowMajorLayout(k.outLayout))
+            counts_.bytesRelayouted += floatBytes(shape);
+    }
+    for (const auto &[v, val] : values_)
+        if (val.owned && val.buf != stored)
+            launch_->release.push_back(val.buf);
+    return stored;
 }
 
+/**
+ * Whether `next` folds into the epilogue of the pass producing `cur`,
+ * and as what step (a binary step's other operand goes to `other`).
+ * `cur` must die there: consumed only by `next`, not a graph output,
+ * and not the source of any read-map input.
+ */
 bool
-PlanRunner::tryFoldEpilogue(const Kernel &k, ValueId cur,
-                            const Node &next, EpilogueStep *step)
+Lowering::foldStep(ValueId cur, const Node &next, EpilogueStep *step,
+                   Buf *other)
 {
-    // The folded value must die here: consumed only by `next`, not a
-    // graph output, and not the source of any read-map input.
-    const auto &consumers = prep_.consumers[static_cast<std::size_t>(cur)];
+    const auto &consumers = consumers_[static_cast<std::size_t>(cur)];
     if (consumers.size() != 1 || consumers[0] != next.id)
         return false;
-    for (ValueId out : graph_.outputIds())
-        if (out == cur)
-            return false;
-    for (const KernelInput &in : k.inputs)
+    const auto &outs = g_.outputIds();
+    if (std::find(outs.begin(), outs.end(), cur) != outs.end() ||
+        shapeOf(next.output) != shapeOf(cur))
+        return false;
+    for (const KernelInput &in : k_->inputs)
         if (in.source == cur)
             return false;
-    if (shapeOf(next.output) != shapeOf(cur))
-        return false;
 
+    step->kind = next.kind;
     if (ir::isUnaryElementwise(next.kind)) {
-        if (next.inputs[0] != cur)
-            return false;
-        *step = EpilogueStep{};
-        step->kind = next.kind;
         step->scale = scaleFactor(next);
-        return true;
+        return next.inputs[0] == cur;
     }
     if (!ir::isBinaryElementwise(next.kind))
         return false;
@@ -984,59 +992,109 @@ PlanRunner::tryFoldEpilogue(const Kernel &k, ValueId cur,
     const bool rhs = next.inputs[1] == cur;
     if (!lhs && !rhs)
         return false;
-    *step = EpilogueStep{};
-    step->kind = next.kind;
     if (lhs && rhs) {
         step->selfOperand = true;
         return true;
     }
-    const ValueId other = lhs ? next.inputs[1] : next.inputs[0];
-    const std::int64_t mod =
-        suffixBroadcastModulo(shapeOf(cur), shapeOf(other));
-    if (mod < 0)
+    const ValueId o = lhs ? next.inputs[1] : next.inputs[0];
+    step->otherModulo = suffixBroadcastModulo(shapeOf(cur), shapeOf(o));
+    if (step->otherModulo < 0)
         return false;
-    // Resolving may materialize a substitute; that work is needed by
-    // the op regardless of how it executes.
-    step->other = resolveLocal(k, other);
-    step->otherModulo = mod;
+    // Materializing a substitute here is work the op needs however
+    // it executes.
+    *other = operand(o);
     step->reversed = rhs;
     return true;
 }
 
-void
-PlanRunner::runNode(const Kernel &k, const Node &node)
+/**
+ * Row-major buffer of `v` inside the kernel: a value the kernel holds
+ * already, a borrowed row-major source, or one materialized on first
+ * use -- a substitute gathered through its lowered read map, or a
+ * stored input unpacked from its chosen layout.
+ */
+Buf
+Lowering::operand(ValueId v)
 {
-    const Shape &os = shapeOf(node.output);
+    const Kernel &k = *k_;
+    if (auto it = values_.find(v); it != values_.end())
+        return it->second.buf;
+
+    // Not an external kernel input: constants (implicit inputs) and,
+    // defensively, model inputs.
+    const int idx = inputOf(v);
+    if (idx < 0)
+        return boundary(v);
+    const KernelInput &in = k.inputs[static_cast<std::size_t>(idx)];
+    const Source &src = sources_[static_cast<std::size_t>(idx)];
+    const Shape &shape = shapeOf(v);
+    const std::int64_t n = shape.numElements();
+    if (in.substitute != in.source) {
+        // Eliminated chain: read the stored source through the lowered
+        // composed map -- one pass for the whole chain.
+        SM_ASSERT(in.readMap.has_value(),
+                  "substituted input without a read map");
+        const Buf from = in.internalSource ? operand(in.source) : src.buf;
+        const Buf to = newValue(v);
+        launch_->steps.push_back(
+            [rd = lowerRead(*in.readMap, src.layout, shapeOf(in.source)),
+             from, to, n](PlanRunner &r) {
+                gather(rd, r[from], r.alloc(to, n));
+            });
+        ++counts_.substitutesMaterialized;
+        return to;
+    }
+    SM_ASSERT(!in.internalSource,
+              "internal source not yet produced in " + k.name);
+    if (isRowMajorLayout(src.layout)) {
+        values_[v] = {src.buf, false, false};
+        return src.buf;
+    }
+    // Unpack the chosen physical layout into the compute view.
+    const Buf to = newValue(v);
+    copyStep(src.buf, to, n,
+             planRelayout(shape, src.layout, Layout::rowMajor(shape.rank())));
+    counts_.bytesRelayouted += floatBytes(shape);
+    return to;
+}
+
+void
+Lowering::lowerNode(const Node &node)
+{
+    std::vector<Step> &steps = launch_->steps;
+    const Shape os = shapeOf(node.output);
+    const std::int64_t n = os.numElements();
     switch (ir::opInfo(node.kind).category) {
       case ir::OpCategory::Conv: {
-        const Shape &xs = shapeOf(node.inputs[0]);
-        const Shape &ws = shapeOf(node.inputs[1]);
+        const Shape xs = shapeOf(node.inputs[0]);
+        const Shape ws = shapeOf(node.inputs[1]);
         const std::int64_t stride = node.attrs.getInt("stride", 1);
         const std::int64_t pad = node.attrs.getInt("pad", 0);
+        const std::int64_t groups = node.attrs.getInt("groups", 1);
         const bool depthwise = node.kind == OpKind::DepthwiseConv2d;
 
         // Input view: consume a stored packed/texture activation
         // in place when only the channel dim (if any) is packed.
         PlaneLayout xl =
             PlaneLayout::rowMajor(xs.dim(1), xs.dim(2), xs.dim(3));
-        const float *x = nullptr;
-        if (auto nv = tryStoredView(k, node.inputs[0]);
+        Buf x = kNone;
+        if (auto nv = storedView(node.inputs[0]);
             nv && xs.rank() == 4 &&
             (nv->packedDim == -1 || nv->packedDim == 1)) {
-            x = nv->data;
+            x = nv->buf;
             xl = PlaneLayout{nv->str[0], nv->str[1], nv->str[2],
                              nv->str[3], nv->packedDim == 1};
-            ++stats_.nativeLayoutViews;
+            ++counts_.nativeLayoutViews;
         } else {
-            x = resolveLocal(k, node.inputs[0]);
+            x = operand(node.inputs[0]);
         }
-        const float *w = resolveLocal(k, node.inputs[1]);
-        const float *bias = nullptr;
+        const Buf w = operand(node.inputs[1]);
+        Buf bias = kNone;
         std::int64_t biasLen = 1;
         if (node.inputs.size() > 2) {
             // Folded conv+batchnorm bias: per-output-channel add after
             // accumulation, matching evalConv's ordering exactly.
-            bias = resolveLocal(k, node.inputs[2]);
+            bias = operand(node.inputs[2]);
             biasLen = shapeOf(node.inputs[2]).numElements();
         }
 
@@ -1045,223 +1103,222 @@ PlanRunner::runNode(const Kernel &k, const Node &node)
         // channel dim may be vec4-packed).
         PlaneLayout ol =
             PlaneLayout::rowMajor(os.dim(1), os.dim(2), os.dim(3));
-        float *out = nullptr;
+        std::int64_t outElems = n;
         bool nativeStore = false;
-        if (auto ov = tryNativeStore(k, node);
+        if (auto ov = outputView(node);
             ov && os.rank() == 4 &&
             (ov->packedDim == -1 || ov->packedDim == 1) &&
             ov->str[2] == ov->str[3] * os.dim(3)) {
-            out = alloc(k.outLayout.storageElements(os));
+            outElems = k_->outLayout.storageElements(os);
             ol = PlaneLayout{ov->str[0], ov->str[1], ov->str[2],
                              ov->str[3], ov->packedDim == 1};
             nativeStore = true;
-            ++stats_.nativeLayoutStores;
-        } else {
-            out = alloc(os.numElements());
+            ++counts_.nativeLayoutStores;
         }
-
-        if (depthwise) {
-            blockedDepthwiseConv2d(x, xl, w, out, ol, xs.dim(0),
+        const Buf out = newValue(node.output, nativeStore);
+        if (!depthwise) {
+            steps.push_back([x, xl, w, bias, biasLen, out, outElems, ol, xs,
+                             os, ws, stride, pad, groups](PlanRunner &r) {
+                blockedConv2d(r[x], xl, r[w], r.alloc(out, outElems), ol,
+                              xs.dim(0), xs.dim(1), xs.dim(2), xs.dim(3),
+                              os.dim(1), os.dim(2), os.dim(3), ws.dim(2),
+                              ws.dim(3), stride, pad, groups, r[bias],
+                              biasLen, r.simd, r.tiles, r.pool);
+            });
+            return;
+        }
+        steps.push_back([x, xl, w, bias, biasLen, out, outElems, ol, xs, os,
+                         ws, stride, pad](PlanRunner &r) {
+            float *o = r.alloc(out, outElems);
+            blockedDepthwiseConv2d(r[x], xl, r[w], o, ol, xs.dim(0),
                                    xs.dim(1), xs.dim(2), xs.dim(3),
                                    os.dim(2), os.dim(3), ws.dim(2),
                                    ws.dim(3), stride, pad);
-            if (bias) {
-                for (std::int64_t n = 0; n < os.dim(0); ++n) {
-                    for (std::int64_t c = 0; c < os.dim(1); ++c) {
-                        const float bv = bias[c % biasLen];
-                        float *p = out + ol.planeOff(n, c);
-                        for (std::int64_t y = 0; y < os.dim(2); ++y)
-                            for (std::int64_t xo = 0; xo < os.dim(3);
-                                 ++xo)
-                                p[y * ol.sh + xo * ol.sw] += bv;
-                    }
+            const float *b = r[bias];
+            for (std::int64_t bn = 0; b && bn < os.dim(0); ++bn) {
+                for (std::int64_t c = 0; c < os.dim(1); ++c) {
+                    const float bv = b[c % biasLen];
+                    float *p = o + ol.planeOff(bn, c);
+                    for (std::int64_t y = 0; y < os.dim(2); ++y)
+                        for (std::int64_t xo = 0; xo < os.dim(3); ++xo)
+                            p[y * ol.sh + xo * ol.sw] += bv;
                 }
             }
-        } else {
-            const std::int64_t groups = node.attrs.getInt("groups", 1);
-            blockedConv2d(x, xl, w, out, ol, xs.dim(0), xs.dim(1),
-                          xs.dim(2), xs.dim(3), os.dim(1), os.dim(2),
-                          os.dim(3), ws.dim(2), ws.dim(3), stride, pad,
-                          groups, bias, biasLen, simd_, tiles_, pool_);
-        }
-        locals_[node.output] = {out, true, nativeStore};
+        });
         return;
       }
       case ir::OpCategory::MatMul: {
         const Shape &as = shapeOf(node.inputs[0]);
-        const Shape &bs = shapeOf(node.inputs[1]);
         const bool trans_b = node.attrs.getInt("transB", 0) != 0;
         const std::int64_t m = as.dim(as.rank() - 2);
         const std::int64_t kk = as.dim(as.rank() - 1);
-        const std::int64_t n = os.dim(os.rank() - 1);
+        const std::int64_t nn = os.dim(os.rank() - 1);
         std::int64_t batch = 1;
         for (int i = 0; i < os.rank() - 2; ++i)
             batch *= os.dim(i);
 
-        // A stored operand is consumable in place when its matrix
-        // dims are affine after normalization (a packed *batch* dim
-        // is fine -- it only shifts the per-batch base offset).
-        auto matrixDimsAffine = [](const NativeView &nv, int rank) {
-            return nv.packedDim != rank - 2 && nv.packedDim != rank - 1;
+        // An operand of rank > 2 has a matrix per batch, a rank-2 one
+        // is shared.  A stored operand is read in place when its matrix
+        // dims are affine (a packed batch dim only shifts offsets).
+        auto matOperand = [&](ValueId v, MatView *mv,
+                              std::vector<std::int64_t> *off) {
+            const Shape &s = shapeOf(v);
+            const int rk = s.rank();
+            const std::int64_t lead = s.numElements() /
+                                      (s.dim(rk - 2) * s.dim(rk - 1));
+            if (auto nv = storedView(v);
+                nv && nv->packedDim < rk - 2 && (rk <= 2 || lead == batch)) {
+                mv->rs = nv->str[static_cast<std::size_t>(rk - 2)];
+                mv->cs = nv->str[static_cast<std::size_t>(rk - 1)];
+                if (rk > 2)
+                    *off = batchOffsets(*nv, s);
+                ++counts_.nativeLayoutViews;
+                return nv->buf;
+            }
+            mv->rs = s.dim(rk - 1);
+            mv->batchStride = rk > 2 ? s.dim(rk - 2) * s.dim(rk - 1) : 0;
+            return operand(v);
         };
-        auto leadingProduct = [](const Shape &s) {
-            std::int64_t p = 1;
-            for (int i = 0; i < s.rank() - 2; ++i)
-                p *= s.dim(i);
-            return p;
-        };
-
-        std::vector<std::int64_t> aOff, bOff, cOff;
         MatView av, bv;
-        if (auto nv = tryStoredView(k, node.inputs[0]);
-            nv && matrixDimsAffine(*nv, as.rank()) &&
-            leadingProduct(as) == batch) {
-            const auto r = static_cast<std::size_t>(as.rank());
-            av.data = nv->data;
-            av.rs = nv->str[r - 2];
-            av.cs = nv->str[r - 1];
-            aOff = batchOffsets(*nv, as, as.rank() - 2, batch);
-            av.batchOff = aOff.data();
-            ++stats_.nativeLayoutViews;
-        } else {
-            av.data = resolveLocal(k, node.inputs[0]);
-            av.rs = kk;
-            av.cs = 1;
-            av.batchStride = m * kk;
-        }
-        if (auto nv = tryStoredView(k, node.inputs[1]);
-            nv && matrixDimsAffine(*nv, bs.rank()) &&
-            (bs.rank() <= 2 || leadingProduct(bs) == batch)) {
-            const auto r = static_cast<std::size_t>(bs.rank());
-            bv.data = nv->data;
-            bv.rs = nv->str[r - 2];
-            bv.cs = nv->str[r - 1];
-            if (bs.rank() > 2) {
-                bOff = batchOffsets(*nv, bs, bs.rank() - 2, batch);
-                bv.batchOff = bOff.data();
-            } // else: batchStride 0, one shared matrix
-            ++stats_.nativeLayoutViews;
-        } else {
-            bv.data = resolveLocal(k, node.inputs[1]);
-            bv.rs = trans_b ? kk : n;
-            bv.cs = 1;
-            bv.batchStride = bs.rank() > 2 ? kk * n : 0;
-        }
+        std::vector<std::int64_t> aOff, bOff, cOff;
+        const Buf a = matOperand(node.inputs[0], &av, &aOff);
+        const Buf b = matOperand(node.inputs[1], &bv, &bOff);
 
         MatMutView cv;
-        float *out = nullptr;
-        bool nativeStore = false;
-        if (auto ov = tryNativeStore(k, node);
-            ov && matrixDimsAffine(*ov, os.rank())) {
-            const auto r = static_cast<std::size_t>(os.rank());
-            out = alloc(k.outLayout.storageElements(os));
-            cv.data = out;
-            cv.rs = ov->str[r - 2];
-            cv.cs = ov->str[r - 1];
-            cOff = batchOffsets(*ov, os, os.rank() - 2, batch);
-            cv.batchOff = cOff.data();
-            nativeStore = true;
-            ++stats_.nativeLayoutStores;
-        } else {
-            out = alloc(os.numElements());
-            cv.data = out;
-            cv.rs = n;
-            cv.cs = 1;
-            cv.batchStride = m * n;
+        cv.rs = nn;
+        cv.batchStride = m * nn;
+        std::int64_t outElems = n;
+        auto ov = outputView(node);
+        const bool nativeStore = ov && ov->packedDim < os.rank() - 2;
+        if (nativeStore) {
+            const auto rk = static_cast<std::size_t>(os.rank());
+            outElems = k_->outLayout.storageElements(os);
+            cv.rs = ov->str[rk - 2];
+            cv.cs = ov->str[rk - 1];
+            cOff = batchOffsets(*ov, os);
+            ++counts_.nativeLayoutStores;
         }
-
-        blockedMatMul(av, bv, cv, batch, m, n, kk, trans_b, simd_,
-                      tiles_);
-        locals_[node.output] = {out, true, nativeStore};
+        const Buf out = newValue(node.output, nativeStore);
+        steps.push_back([a, av, aOff = std::move(aOff), b, bv,
+                         bOff = std::move(bOff), out, outElems, cv,
+                         cOff = std::move(cOff), batch, m, nn, kk,
+                         trans_b](PlanRunner &r) {
+            MatView va = av;
+            MatView vb = bv;
+            MatMutView vc = cv;
+            va.data = r[a];
+            vb.data = r[b];
+            vc.data = r.alloc(out, outElems);
+            va.batchOff = aOff.empty() ? nullptr : aOff.data();
+            vb.batchOff = bOff.empty() ? nullptr : bOff.data();
+            vc.batchOff = cOff.empty() ? nullptr : cOff.data();
+            blockedMatMul(va, vb, vc, batch, m, nn, kk, trans_b, r.simd,
+                          r.tiles);
+        });
         return;
       }
       case ir::OpCategory::Norm: {
         // x, then the optional scale (LayerNorm gamma, BatchNorm
         // scale) and shift (beta, bias); InstanceNorm has neither.
-        const float *x = resolveLocal(k, node.inputs[0]);
-        const float *scale = node.inputs.size() > 1
-                                 ? resolveLocal(k, node.inputs[1])
-                                 : nullptr;
-        const float *shift = node.inputs.size() > 2
-                                 ? resolveLocal(k, node.inputs[2])
-                                 : nullptr;
+        const Buf x = operand(node.inputs[0]);
+        const Buf scale =
+            node.inputs.size() > 1 ? operand(node.inputs[1]) : kNone;
+        const Buf shift =
+            node.inputs.size() > 2 ? operand(node.inputs[2]) : kNone;
         const std::int64_t scaleLen =
-            scale ? shapeOf(node.inputs[1]).numElements() : 1;
+            scale != kNone ? shapeOf(node.inputs[1]).numElements() : 1;
         const std::int64_t shiftLen =
-            shift ? shapeOf(node.inputs[2]).numElements() : 1;
-        float *out = alloc(os.numElements());
+            shift != kNone ? shapeOf(node.inputs[2]).numElements() : 1;
+        const Buf out = newValue(node.output);
         if (node.kind == OpKind::LayerNorm) {
             const std::int64_t inner = os.dim(os.rank() - 1);
-            blockedLayerNorm(x, scale, scaleLen, shift, shiftLen, out,
-                             os.numElements() / inner, inner);
-        } else if (node.kind == OpKind::InstanceNorm) {
-            blockedInstanceNorm(x, out, os.dim(0) * os.dim(1),
-                                os.dim(2) * os.dim(3));
-        } else {
-            blockedBatchNorm(x, scale, scaleLen, shift, shiftLen, out,
-                             os.dim(0), os.dim(1), os.dim(2) * os.dim(3));
+            steps.push_back([x, scale, scaleLen, shift, shiftLen, out, n,
+                             inner](PlanRunner &r) {
+                blockedLayerNorm(r[x], r[scale], scaleLen, r[shift],
+                                 shiftLen, r.alloc(out, n), n / inner,
+                                 inner);
+            });
+            return;
         }
-        locals_[node.output] = {out, true};
+        const std::int64_t hw = os.dim(2) * os.dim(3);
+        if (node.kind == OpKind::InstanceNorm) {
+            steps.push_back([x, out, n, nc = os.dim(0) * os.dim(1),
+                             hw](PlanRunner &r) {
+                blockedInstanceNorm(r[x], r.alloc(out, n), nc, hw);
+            });
+            return;
+        }
+        steps.push_back([x, scale, scaleLen, shift, shiftLen, out, n,
+                         bn = os.dim(0), c = os.dim(1), hw](PlanRunner &r) {
+            blockedBatchNorm(r[x], r[scale], scaleLen, r[shift], shiftLen,
+                             r.alloc(out, n), bn, c, hw);
+        });
         return;
       }
       case ir::OpCategory::Softmax: {
-        const float *x = resolveLocal(k, node.inputs[0]);
+        const Buf x = operand(node.inputs[0]);
         int axis = static_cast<int>(
             node.attrs.getInt("axis", os.rank() - 1));
         if (axis < 0)
             axis += os.rank();
-        float *out = alloc(os.numElements());
-        blockedSoftmax(x, out, os, axis);
-        locals_[node.output] = {out, true};
+        const Buf out = newValue(node.output);
+        steps.push_back([x, out, n, os, axis](PlanRunner &r) {
+            blockedSoftmax(r[x], r.alloc(out, n), os, axis);
+        });
         return;
       }
       case ir::OpCategory::Attention: {
         const Shape &qs = shapeOf(node.inputs[0]);
         const Shape &vs = shapeOf(node.inputs[2]);
         const std::int64_t batch = qs.dim(0);
-        const std::int64_t n = qs.dim(1);
-        const std::int64_t dk = qs.dim(2);
+        const std::int64_t rows = qs.dim(1);
         const std::int64_t m = vs.dim(1);
-        const std::int64_t dv = vs.dim(2);
         const float scale = static_cast<float>(
             node.attrs.getInt("scale_milli", 1000)) / 1000.0f;
-        const float *q = resolveLocal(k, node.inputs[0]);
-        const float *kd = resolveLocal(k, node.inputs[1]);
-        const float *v = resolveLocal(k, node.inputs[2]);
-        const float *bias = nullptr;
-        bool bias_batched = false;
+        const Buf q = operand(node.inputs[0]);
+        const Buf kd = operand(node.inputs[1]);
+        const Buf v = operand(node.inputs[2]);
+        Buf bias = kNone;
+        bool biasBatched = false;
         if (node.inputs.size() > 3) {
-            bias = resolveLocal(k, node.inputs[3]);
+            bias = operand(node.inputs[3]);
             const Shape &bsh = shapeOf(node.inputs[3]);
-            bias_batched = bsh.rank() == 3 && bsh.dim(0) > 1;
+            biasBatched = bsh.rank() == 3 && bsh.dim(0) > 1;
         }
-        float *out = alloc(os.numElements());
+        const Buf out = newValue(node.output);
         // Every launch streams, whatever Kernel::streamingAttention
         // says: the flag tells the cost model whether the score panel
         // is charged, and no run ever materializes it.
-        blockedFusedAttention(q, kd, v, bias, bias_batched, scale, out,
-                              batch, n, dk, m, dv, simd_, tiles_);
-        ++stats_.fusedAttentionKernels;
-        stats_.scoreBytesAvoided +=
-            batch * n * m * static_cast<std::int64_t>(sizeof(float));
-        locals_[node.output] = {out, true};
+        ++counts_.fusedAttentionKernels;
+        counts_.scoreBytesAvoided +=
+            batch * rows * m * static_cast<std::int64_t>(sizeof(float));
+        steps.push_back([q, kd, v, bias, biasBatched, scale, out, n, batch,
+                         rows, dk = qs.dim(2), m,
+                         dv = vs.dim(2)](PlanRunner &r) {
+            blockedFusedAttention(r[q], r[kd], r[v], r[bias], biasBatched,
+                                  scale, r.alloc(out, n), batch, rows, dk,
+                                  m, dv, r.simd, r.tiles);
+        });
         return;
       }
       case ir::OpCategory::Unary: {
-        const float *x = resolveLocal(k, node.inputs[0]);
-        float *out = alloc(os.numElements());
-        blockedUnary(node.kind, scaleFactor(node), x, out,
-                     os.numElements());
-        locals_[node.output] = {out, true};
+        const Buf x = operand(node.inputs[0]);
+        const Buf out = newValue(node.output);
+        steps.push_back([kind = node.kind, scale = scaleFactor(node), x,
+                         out, n](PlanRunner &r) {
+            blockedUnary(kind, scale, r[x], r.alloc(out, n), n);
+        });
         return;
       }
       case ir::OpCategory::Binary: {
-        const float *a = resolveLocal(k, node.inputs[0]);
-        const float *b = resolveLocal(k, node.inputs[1]);
-        float *out = alloc(os.numElements());
-        blockedBinary(node.kind, a, b, out, os,
-                      shapeOf(node.inputs[0]), shapeOf(node.inputs[1]));
-        locals_[node.output] = {out, true};
+        const Buf a = operand(node.inputs[0]);
+        const Buf b = operand(node.inputs[1]);
+        const Buf out = newValue(node.output);
+        steps.push_back([kind = node.kind, a, b, out, n, os,
+                         as = shapeOf(node.inputs[0]),
+                         bs = shapeOf(node.inputs[1])](PlanRunner &r) {
+            blockedBinary(kind, r[a], r[b], r.alloc(out, n), os, as, bs);
+        });
         return;
       }
       case ir::OpCategory::Transform:
@@ -1269,197 +1326,137 @@ PlanRunner::runNode(const Kernel &k, const Node &node)
         if (ir::opInfo(node.kind).eliminable) {
             // Surviving transformation: one pass through its index map
             // (the same machinery eliminated chains use).
-            const float *x = resolveLocal(k, node.inputs[0]);
-            float *out = alloc(os.numElements());
-            gather(prep_.transforms.at(node.id), x, out);
-            locals_[node.output] = {out, true};
+            const Shape &xs = shapeOf(node.inputs[0]);
+            const Buf x = operand(node.inputs[0]);
+            const Buf out = newValue(node.output);
+            steps.push_back(
+                [rd = lowerRead(
+                     index::IndexMap::fromNode(g_, node).simplified(),
+                     Layout::rowMajor(xs.rank()), xs),
+                 x, out, n](PlanRunner &r) {
+                    gather(rd, r[x], r.alloc(out, n));
+                });
             return;
         }
         if (node.kind == OpKind::Concat) {
-            // Block copies per input along the concat axis.
+            // Block copies per input along the concat axis: each input
+            // row lands at its axis offset in every output row.
             const int axis = static_cast<int>(node.attrs.getInt("axis"));
             std::int64_t inner = 1;
             for (int d = axis + 1; d < os.rank(); ++d)
                 inner *= os.dim(d);
-            const std::int64_t outer =
-                os.numElements() / (os.dim(axis) * inner);
-            float *out = alloc(os.numElements());
-            std::int64_t axis_off = 0;
-            for (ValueId vin : node.inputs) {
-                const float *x = resolveLocal(k, vin);
-                const std::int64_t ext = shapeOf(vin).dim(axis);
-                const std::int64_t row = ext * inner;
-                for (std::int64_t o = 0; o < outer; ++o) {
-                    std::memcpy(
-                        out + (o * os.dim(axis) + axis_off) * inner,
-                        x + o * row,
-                        static_cast<std::size_t>(row) * sizeof(float));
+            std::vector<std::pair<Buf, std::int64_t>> parts; // (x, row)
+            for (ValueId vin : node.inputs)
+                parts.push_back(
+                    {operand(vin), shapeOf(vin).dim(axis) * inner});
+            const Buf out = newValue(node.output);
+            steps.push_back([parts = std::move(parts), out, n,
+                             outRow = os.dim(axis) * inner](PlanRunner &r) {
+                float *dst = r.alloc(out, n);
+                for (const auto &[x, row] : parts) {
+                    const float *src = r[x];
+                    for (std::int64_t o = 0; o < n / outRow; ++o)
+                        std::memcpy(dst + o * outRow, src + o * row,
+                                    static_cast<std::size_t>(row) *
+                                        sizeof(float));
+                    dst += row;
                 }
-                axis_off += ext;
-            }
-            locals_[node.output] = {out, true};
+            });
             return;
         }
         if (node.kind == OpKind::Pad) {
-            const auto [x, xt] = tableView(k, node.inputs[0]);
-            float *out = alloc(os.numElements());
-            blockedPad(x, xt, shapeOf(node.inputs[0]),
-                       node.attrs.getInts("pads"), out, os);
-            locals_[node.output] = {out, true};
+            auto [x, xt] = tableOperand(node.inputs[0]);
+            const Buf out = newValue(node.output);
+            steps.push_back([x = x, xt = std::move(xt),
+                             xs = shapeOf(node.inputs[0]),
+                             pads = node.attrs.getInts("pads"), out, n,
+                             os](PlanRunner &r) {
+                blockedPad(r[x], xt, xs, pads, r.alloc(out, n), os);
+            });
             return;
         }
         break;
       case ir::OpCategory::Reduce:
       case ir::OpCategory::Pool: {
         const Shape &xs = shapeOf(node.inputs[0]);
-        const auto [x, xt] = tableView(k, node.inputs[0]);
-        float *out = alloc(os.numElements());
-        if (node.kind == OpKind::GlobalAvgPool) {
+        auto [x, xt] = tableOperand(node.inputs[0]);
+        const Buf out = newValue(node.output);
+        if (ir::opInfo(node.kind).category == ir::OpCategory::Reduce ||
+            node.kind == OpKind::GlobalAvgPool) {
             // evalPool's global average is a mean over H and W.
-            blockedReduce(OpKind::ReduceMean, x, xt, xs, {2, 3}, out);
-        } else if (ir::opInfo(node.kind).category ==
-                   ir::OpCategory::Reduce) {
-            blockedReduce(node.kind, x, xt, xs,
-                          node.attrs.getInts("axes"), out);
-        } else {
-            const std::int64_t kernel = node.attrs.getInt("kernel");
-            blockedPool2d(node.kind, x, xt, xs, kernel,
-                          node.attrs.getInt("stride", kernel),
-                          node.attrs.getInt("pad", 0), os, out);
+            const bool global = node.kind == OpKind::GlobalAvgPool;
+            steps.push_back(
+                [kind = global ? OpKind::ReduceMean : node.kind, x = x,
+                 xt = std::move(xt), xs,
+                 axes = global ? std::vector<std::int64_t>{2, 3}
+                               : node.attrs.getInts("axes"),
+                 out, n](PlanRunner &r) {
+                    blockedReduce(kind, r[x], xt, xs, axes,
+                                  r.alloc(out, n));
+                });
+            return;
         }
-        locals_[node.output] = {out, true};
+        const std::int64_t kernel = node.attrs.getInt("kernel");
+        steps.push_back([kind = node.kind, x = x, xt = std::move(xt), xs,
+                         kernel, stride = node.attrs.getInt("stride", kernel),
+                         pad = node.attrs.getInt("pad", 0), os, out,
+                         n](PlanRunner &r) {
+            blockedPool2d(kind, r[x], xt, xs, kernel, stride, pad, os,
+                          r.alloc(out, n));
+        });
         return;
       }
       case ir::OpCategory::Terminal:
         break;
     }
     smPanic("no blocked kernel for " + ir::opKindName(node.kind) +
-            " in " + k.name);
+            " in " + k_->name);
 }
 
-void
-PlanRunner::runComputeKernel(std::size_t ki)
+PreparedPlan::PreparedPlan(const ExecutionPlan &plan, std::uint64_t seed,
+                           ConstantStore &store)
+    : valueCount(plan.graph.values().size())
 {
-    const Kernel &k = plan_.kernels[ki];
-    kernelPrep_ = &prep_.kernels[ki];
-    locals_.clear();
-
-    std::size_t i = 0;
-    while (i < k.fusedNodes.size()) {
-        const Node &node = graph_.node(k.fusedNodes[i]);
-        runNode(k, node);
-        ValueId cur = node.output;
-
-        // Fold the following element-wise chain into one in-place
-        // epilogue pass over the anchor's output.
-        std::vector<EpilogueStep> steps;
-        std::size_t j = i + 1;
-        while (j < k.fusedNodes.size()) {
-            const Node &next = graph_.node(k.fusedNodes[j]);
-            EpilogueStep step;
-            if (!tryFoldEpilogue(k, cur, next, &step))
-                break;
-            steps.push_back(step);
-            cur = next.output;
-            ++j;
-        }
-        if (!steps.empty()) {
-            LocalBuf buf = locals_[node.output];
-            SM_ASSERT(buf.owned, "epilogue over a borrowed buffer");
-            blockedEpilogue(steps, const_cast<float *>(buf.data),
-                            shapeOf(node.output).numElements());
-            stats_.fusedEpilogueOps +=
-                static_cast<int>(steps.size());
-            locals_.erase(node.output);
-            locals_[cur] = buf;
-        }
-        i = j;
-    }
-
-    publishOutput(ki);
-
-    // Return per-kernel scratch to the pool.
-    const float *published = stored_[ki].data;
-    for (auto &[v, buf] : locals_) {
-        if (buf.owned && buf.data != published)
-            pool_.release(const_cast<float *>(buf.data));
-    }
-    locals_.clear();
-}
-
-void
-PlanRunner::publishOutput(std::size_t ki)
-{
-    const Kernel &k = plan_.kernels[ki];
-    auto it = locals_.find(k.output);
-    SM_ASSERT(it != locals_.end(),
-              "kernel did not produce its output: " + k.name);
-    const Shape &shape = shapeOf(k.output);
-    if (it->second.inOutLayout) {
-        // Anchor op already wrote the kernel's chosen layout.
-        SM_ASSERT(it->second.owned,
-                  "native-layout store over a borrowed buffer");
-        stored_[ki] = {it->second.data, &k.outLayout};
-        return;
-    }
-    if (isRowMajorLayout(k.outLayout) && it->second.owned) {
-        stored_[ki] = {it->second.data, &k.outLayout};
-        return;
-    }
-    float *dst = alloc(k.outLayout.storageElements(shape));
-    relayoutCopy(shape, it->second.data, Layout::rowMajor(shape.rank()),
-                 dst, k.outLayout);
-    if (!isRowMajorLayout(k.outLayout))
-        stats_.bytesRelayouted +=
-            shape.numElements() *
-            static_cast<std::int64_t>(sizeof(float));
-    stored_[ki] = {dst, &k.outLayout};
-}
-
-void
-PlanRunner::releaseDead(std::size_t ki)
-{
-    for (std::size_t slot : prep_.kernels[ki].release) {
-        pool_.release(const_cast<float *>(stored_[slot].data));
-        stored_[slot] = {};
-    }
+    Lowering(plan, seed, store, *this).lower();
 }
 
 std::vector<Tensor>
-PlanRunner::run(CpuBackendStats *stats_out)
+PlanRunner::run(const std::map<ValueId, Tensor> &inputs,
+                CpuBackendStats *stats_out)
 {
-    for (std::size_t i = 0; i < plan_.kernels.size(); ++i) {
-        const Kernel &k = plan_.kernels[i];
-        if (k.fusedNodes.empty()) {
-            SM_ASSERT(k.isLayoutCopy,
-                      "empty kernel must be a layout copy: " + k.name);
-            runRelayoutKernel(i);
-        } else {
-            runComputeKernel(i);
+    bufs_ = prep_.bufs;
+    for (const ModelInput &in : prep_.inputs) {
+        auto it = inputs.find(in.id);
+        SM_REQUIRE(it != inputs.end(), "missing model input: " + in.name);
+        SM_REQUIRE(it->second.shape() == in.shape,
+                   "input shape mismatch: " + in.name);
+        bufs_[in.buf] = it->second.data();
+    }
+    for (const Launch &launch : prep_.launches) {
+        for (const Step &step : launch.steps)
+            step(*this);
+        for (Buf b : launch.release) {
+            pool.release(owned(b));
+            bufs_[b] = nullptr;
         }
-        ++stats_.kernelsExecuted;
-        releaseDead(i);
     }
 
     std::vector<Tensor> out;
-    out.reserve(graph_.outputIds().size());
-    for (std::size_t i = 0; i < graph_.outputIds().size(); ++i) {
-        const ValueId id = graph_.outputIds()[i];
-        const StoredBuf s = resolveStored(prep_.outputs[i], id);
-        const Shape &shape = shapeOf(id);
-        Tensor t(shape);
-        relayoutCopy(shape, s.data, *s.layout, t.data(),
-                     Layout::rowMajor(shape.rank()));
+    out.reserve(prep_.outputs.size());
+    for (const auto &[buf, unpack] : prep_.outputs) {
+        Tensor t(unpack.shape);
+        relayoutCopy(unpack, bufs_[buf], t.data());
         out.push_back(std::move(t));
     }
 
-    stats_.poolHighWaterBytes = pool_.highWaterBytes();
-    stats_.poolReuses = pool_.reuseCount();
-    stats_.simdLevel = simd_;
-    stats_.tileRowTile = tiles_.rowTile;
-    stats_.tileKBlock = tiles_.kBlock;
-    if (stats_out)
-        *stats_out = stats_;
+    if (stats_out) {
+        *stats_out = prep_.counts;
+        stats_out->poolHighWaterBytes = pool.highWaterBytes();
+        stats_out->poolReuses = pool.reuseCount();
+        stats_out->simdLevel = simd;
+        stats_out->tileRowTile = tiles.rowTile;
+        stats_out->tileKBlock = tiles.kBlock;
+    }
     return out;
 }
 
@@ -1502,8 +1499,7 @@ CpuBackend::run(const ExecutionPlan &plan,
         }
     }
     prepared->checkMatches(plan);
-    PlanRunner runner(*prepared, plan, inputs, options_);
-    return runner.run(stats);
+    return PlanRunner(*prepared, options_).run(inputs, stats);
 }
 
 std::int64_t

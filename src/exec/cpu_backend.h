@@ -21,14 +21,14 @@
  *    output tiles by support::parallelFor on the process-wide pool,
  *    under a thread budget of CpuBackendOptions::threads.
  *
- * Execution is split in two.  A private preparation does the per-plan
- * work once: it resolves the constants and lowers every read map and
- * surviving transformation to offset tables over its source's
- * physical layout.  It keeps only those tables, never a copy of the
- * plan: each run reads the kernels and the graph from the plan it is
- * given.  run() then does only per-input work.  A plan with a
- * non-empty cacheKey is prepared on its first run and reused by every
- * later run of an equal key (docs/EXECUTION.md).
+ * Execution is split in two.  A private preparation makes every
+ * per-plan decision once, lowering each kernel to a launch: how each
+ * operand is read, the folded epilogue, the attributes, views and
+ * offset tables, and how the output is stored.  A run then only
+ * allocates, calls the bound kernels and releases by the prepared
+ * schedule; of the plan it is given it reads only the kernel and value
+ * counts.  A plan with a non-empty cacheKey is prepared on its first
+ * run and reused by every later run of an equal key (docs/EXECUTION.md).
  *
  * Constants are interned per backend: each distinct constant (equal
  * bytes, found by a content hash and confirmed by memcmp) is stored
@@ -116,7 +116,7 @@ struct CpuBackendStats
     int nativeLayoutViews = 0;
 
     /** Kernel outputs written directly in the plan's chosen layout
-     *  (no pack copy in publishOutput). */
+     *  (no pack copy after the kernel). */
     int nativeLayoutStores = 0;
 
     /** FusedAttention launches; each runs the streaming
