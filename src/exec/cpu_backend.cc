@@ -93,6 +93,13 @@ makeNativeView(Buf buf, const Layout &l, const Shape &shape)
     return v;
 }
 
+/** Offset contribution of coordinate c on dimension d of view v. */
+inline std::int64_t
+contribution(const NativeView &v, std::size_t d, std::int64_t c)
+{
+    return dimContribution(c, v.str[d], static_cast<int>(d) == v.packedDim);
+}
+
 /** table[d][c]: offset contribution of coordinate c on dimension d
  *  of `shape` read through view `v` (normalizing a packed dim keeps
  *  every contribution, so any view of one layout gives its tables). */
@@ -100,61 +107,54 @@ DimTables
 dimOffsetTables(const NativeView &v, const Shape &shape)
 {
     DimTables t(static_cast<std::size_t>(shape.rank()));
-    for (int d = 0; d < shape.rank(); ++d) {
-        auto &td = t[static_cast<std::size_t>(d)];
-        td.resize(static_cast<std::size_t>(shape.dim(d)));
-        for (std::int64_t c = 0; c < shape.dim(d); ++c)
-            td[static_cast<std::size_t>(c)] = dimContribution(
-                c, v.str[static_cast<std::size_t>(d)], d == v.packedDim);
+    for (std::size_t d = 0; d < t.size(); ++d) {
+        t[d].resize(static_cast<std::size_t>(shape.dim(static_cast<int>(d))));
+        for (std::size_t c = 0; c < t[d].size(); ++c)
+            t[d][c] = contribution(v, d, static_cast<std::int64_t>(c));
     }
     return t;
 }
 
 /**
- * Length of the unit-stride runs two offset tables over the same
- * `cols` coordinates share: cols when both are contiguous, else 4
- * when both advance by one within every aligned group of four (a
- * vec4-packed dimension against a contiguous one), else 1.
- */
-std::int64_t
-sharedRun(const std::int64_t *a, const std::int64_t *b, std::int64_t cols)
-{
-    for (std::int64_t len : {cols, std::int64_t{4}}) {
-        bool keeps = len > 1 && cols % len == 0;
-        for (std::int64_t x = 0; x < cols && keeps; ++x) {
-            const std::int64_t head = x - x % len;
-            keeps = a[x] == a[head] + x % len && b[x] == b[head] + x % len;
-        }
-        if (keeps)
-            return len;
-    }
-    return 1;
-}
-
-/**
  * A copy of `shape` elements between two physical layouts, prepared
- * once: the per-dimension offset tables of both sides and the
- * sharedRun() of their innermost ones.  Both tables are empty when
- * both layouts are row-major, and the copy is one memcpy.
+ * once: the strides of both sides and the length of the unit-stride
+ * runs they share over the innermost dimension -- cols when both are
+ * contiguous, else 4 when both advance by one within every aligned
+ * group of four (a vec4-packed dimension against a contiguous one),
+ * else 1.  A copy between two row-major layouts is one memcpy.
  */
 struct Relayout
 {
     Shape shape;
-    DimTables src, dst;
+    NativeView src, dst;
+    bool rowMajor = false;
     std::int64_t run = 1;
 };
 
 Relayout
 planRelayout(const Shape &shape, const Layout &srcL, const Layout &dstL)
 {
-    Relayout rl{shape, {}, {}, 1};
-    if (isRowMajorLayout(srcL) && isRowMajorLayout(dstL))
+    Relayout rl{shape, makeNativeView(kNone, srcL, shape),
+                makeNativeView(kNone, dstL, shape),
+                isRowMajorLayout(srcL) && isRowMajorLayout(dstL), 1};
+    if (rl.rowMajor)
         return rl;
-    // rank >= 1: not row-major
-    rl.src = dimOffsetTables(makeNativeView(kNone, srcL, shape), shape);
-    rl.dst = dimOffsetTables(makeNativeView(kNone, dstL, shape), shape);
-    rl.run = sharedRun(rl.src.back().data(), rl.dst.back().data(),
-                       shape.dim(shape.rank() - 1));
+    const auto in = static_cast<std::size_t>(shape.rank() - 1); // rank >= 1
+    const std::int64_t cols = shape.dim(shape.rank() - 1);
+    for (std::int64_t len : {cols, std::int64_t{4}}) {
+        bool keeps = len > 1 && cols % len == 0;
+        for (std::int64_t x = 0; x < cols && keeps; ++x) {
+            const std::int64_t head = x - x % len;
+            keeps = contribution(rl.src, in, x) ==
+                        contribution(rl.src, in, head) + x % len &&
+                    contribution(rl.dst, in, x) ==
+                        contribution(rl.dst, in, head) + x % len;
+        }
+        if (keeps) {
+            rl.run = len;
+            break;
+        }
+    }
     return rl;
 }
 
@@ -162,29 +162,31 @@ planRelayout(const Shape &shape, const Layout &srcL, const Layout &dstL)
  * Copy a prepared Relayout's elements from src to dst: unpack, pack,
  * relayout kernels and output extraction.  Walks the rows (every
  * dimension but the innermost) keeping each row's offsets as prefix
- * sums of the per-dimension offset tables, so stepping to the next
- * row usually updates one entry, and copies each row in a tight loop
- * over the innermost dimension's tables.  Parallel over row ranges,
- * each chunk seeding its walk from its first row; a pure copy, so the
- * output is byte-identical at any thread count.
+ * sums of per-dimension contributions, so stepping to the next row
+ * usually updates one entry, and copies each row in a tight loop over
+ * the innermost dimension.  Parallel over row ranges, each chunk
+ * seeding its walk from its first row; a pure copy, so the output is
+ * byte-identical at any thread count.
  */
 void
 relayoutCopy(const Relayout &rl, const float *src, float *dst)
 {
     const Shape &shape = rl.shape;
     const std::int64_t total = shape.numElements();
-    if (rl.src.empty()) {
+    if (rl.rowMajor) {
         std::memcpy(dst, src,
                     static_cast<std::size_t>(total) * sizeof(float));
         return;
     }
     const int outer = shape.rank() - 1;
+    const auto n = static_cast<std::size_t>(outer);
     const std::int64_t cols = shape.dim(outer);
-    const std::int64_t *sIn = rl.src.back().data();
-    const std::int64_t *dIn = rl.dst.back().data();
+    const std::int64_t sStride = rl.src.str[n];
+    const std::int64_t dStride = rl.dst.str[n];
+    const bool sPacked = rl.src.packedDim == outer;
+    const bool dPacked = rl.dst.packedDim == outer;
     parallelFor(total / cols, std::max<std::int64_t>(1, 4096 / cols),
                 [&](std::int64_t r0, std::int64_t r1) {
-        const auto n = static_cast<std::size_t>(outer);
         // coord: the row's outer coordinates; sPre[d] / dPre[d]: offset
         // of dims [0, d), so sPre[outer] is the row's source offset.
         std::vector<std::int64_t> coord(n), sPre(n + 1, 0), dPre(n + 1, 0);
@@ -196,9 +198,8 @@ relayoutCopy(const Relayout &rl, const float *src, float *dst)
         std::size_t from = 0; // first dim whose prefix sums are stale
         for (std::int64_t r = r0; r < r1; ++r) {
             for (std::size_t d = from; d < n; ++d) {
-                const auto c = static_cast<std::size_t>(coord[d]);
-                sPre[d + 1] = sPre[d] + rl.src[d][c];
-                dPre[d + 1] = dPre[d] + rl.dst[d][c];
+                sPre[d + 1] = sPre[d] + contribution(rl.src, d, coord[d]);
+                dPre[d + 1] = dPre[d] + contribution(rl.dst, d, coord[d]);
             }
             const float *s = src + sPre[n];
             float *o = dst + dPre[n];
@@ -207,8 +208,8 @@ relayoutCopy(const Relayout &rl, const float *src, float *dst)
                                       sizeof(float));
             } else if (rl.run == 4) {
                 for (std::int64_t x = 0; x < cols; x += 4) {
-                    const float *a = s + sIn[x];
-                    float *b = o + dIn[x];
+                    const float *a = s + dimContribution(x, sStride, sPacked);
+                    float *b = o + dimContribution(x, dStride, dPacked);
                     b[0] = a[0];
                     b[1] = a[1];
                     b[2] = a[2];
@@ -216,7 +217,8 @@ relayoutCopy(const Relayout &rl, const float *src, float *dst)
                 }
             } else {
                 for (std::int64_t x = 0; x < cols; ++x)
-                    o[dIn[x]] = s[sIn[x]];
+                    o[dimContribution(x, dStride, dPacked)] =
+                        s[dimContribution(x, sStride, sPacked)];
             }
             for (from = n; from-- > 0;) {
                 if (++coord[from] < shape.dim(static_cast<int>(from)))
@@ -237,9 +239,8 @@ batchOffsets(const NativeView &vw, const Shape &s)
         std::vector<std::int64_t> next;
         for (std::int64_t o : off)
             for (std::int64_t c = 0; c < s.dim(d); ++c)
-                next.push_back(o + dimContribution(
-                                       c, vw.str[static_cast<std::size_t>(d)],
-                                       d == vw.packedDim));
+                next.push_back(
+                    o + contribution(vw, static_cast<std::size_t>(d), c));
         off.swap(next);
     }
     return off;
@@ -553,8 +554,8 @@ struct Launch
 /** A model input a run reads, checked against the caller's inputs. */
 struct ModelInput
 {
-    Buf buf;
-    ValueId id;
+    Buf buf = kNone;
+    ValueId id = 0;
     Shape shape;
     std::string name;
 };
