@@ -709,9 +709,9 @@ class Lowering
     Buf boundary(ValueId v)
     {
         Buf &b = boundary_[static_cast<std::size_t>(v)];
-        const Node &producer = g_.node(g_.value(v).producer);
         if (b != kNone)
             return b;
+        const Node &producer = g_.node(g_.value(v).producer);
         if (producer.kind == OpKind::Input) {
             b = newBuf();
             prep_.inputs.push_back({b, v, shapeOf(v), producer.name});
