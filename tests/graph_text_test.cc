@@ -12,8 +12,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,9 +26,11 @@
 #include "ir/graph.h"
 #include "models/graph_source.h"
 #include "models/models.h"
+#include "opt/pass.h"
 #include "serialize/graph_text.h"
 #include "serialize/plan_text.h"
 #include "support/error.h"
+#include "support/hash.h"
 
 namespace smartmem {
 namespace {
@@ -107,6 +112,156 @@ TEST(GraphSerialize, SignatureSeparatesModelsBatchesAndEdits)
     EXPECT_EQ(serialize::graphSignature(
                   serialize::parseGraph(serialize::serializeGraph(a))),
               serialize::graphSignature(a));
+}
+
+// ---------------------------------------------------------------------
+// Signature definition and recorded digests
+// ---------------------------------------------------------------------
+
+/**
+ * graphSignature() as a sequence of text fields: every id in decimal,
+ * the op kind's name, every name, Attrs::toString() and
+ * Shape::toString(), each fed to FNV-1a as one field.  The signature
+ * must hash exactly these bytes, however it produces them -- plan
+ * cache keys written by earlier builds depend on it.
+ */
+std::string
+textSignature(const ir::Graph &graph)
+{
+    auto num = [](std::int64_t v) { return std::to_string(v); };
+    Fnv1a f;
+    f.feed(num(static_cast<std::int64_t>(graph.nodes().size())));
+    f.feed(num(static_cast<std::int64_t>(graph.values().size())));
+    for (const ir::Node &n : graph.nodes()) {
+        f.feed(num(n.id));
+        f.feed(ir::opKindName(n.kind));
+        f.feed(n.name);
+        for (ir::ValueId v : n.inputs)
+            f.feed(num(v));
+        f.feed(num(n.output));
+        f.feed(n.attrs.toString());
+    }
+    for (const ir::Value &v : graph.values()) {
+        f.feed(num(v.id));
+        f.feed(v.name);
+        f.feed(v.shape.toString());
+        f.feed(num(static_cast<std::int64_t>(v.dtype)));
+        f.feed(num(v.producer));
+    }
+    for (ir::ValueId v : graph.inputIds())
+        f.feed(num(v));
+    for (ir::ValueId v : graph.outputIds())
+        f.feed(num(v));
+    return f.hex();
+}
+
+/** Rank-0 values, empty names and attributes at the int64 limits:
+ *  the fields the signature has to render exactly as text would. */
+ir::Graph
+edgeCaseGraph()
+{
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    ir::Attrs extremes;
+    extremes.set("max", kMax)
+        .set("min", kMin)
+        .set("mixed", std::vector<std::int64_t>{kMin, -1, 0, 7, kMax})
+        .set("neg", -42)
+        .set("none", std::vector<std::int64_t>{})
+        .set("one", std::vector<std::int64_t>{3});
+
+    ir::GraphBuilder b;
+    auto s = b.input("s", ir::Shape{});
+    auto c = b.constant("c", ir::Shape{}, ir::DType::F32, extremes);
+    auto y = b.addNode(ir::OpKind::Add, {s, c}, extremes, "y");
+    auto x = b.input("x", ir::Shape{2, 3}, ir::DType::I32);
+    auto idx = b.constantData("idx", ir::Shape{3}, {0, 1, 1});
+    auto t = b.transpose(x, {1, 0});
+    b.markOutput(y);
+    b.markOutput(b.gather(t, idx, 0));
+    ir::Graph built = b.finish();
+
+    // Clear names the builder always fills in.
+    ir::GraphParts parts{built.nodes(), built.values(), built.inputIds(),
+                         built.outputIds()};
+    for (ir::Node &n : parts.nodes)
+        n.name.clear();
+    parts.values[0].name.clear();
+    parts.values[2].name.clear();
+    return ir::makeGraph(std::move(parts));
+}
+
+TEST(GraphText, SignatureMatchesTextDefinition)
+{
+    auto check = [](const ir::Graph &g) {
+        EXPECT_EQ(serialize::graphSignature(g), textSignature(g));
+        ir::Graph canon = core::canonicalizeGraph(g);
+        EXPECT_EQ(serialize::graphSignature(canon), textSignature(canon));
+    };
+    for (const std::string &model : models::evaluationModels()) {
+        for (int batch : {1, 2}) {
+            SCOPED_TRACE(model + " batch " + std::to_string(batch));
+            check(models::buildModel(model, batch));
+        }
+        SCOPED_TRACE("tiny " + model);
+        check(models::buildTinyVariant(model, 1));
+    }
+    SCOPED_TRACE("edge-case graph");
+    ir::Graph edge = edgeCaseGraph();
+    ASSERT_TRUE(edge.nodes()[0].name.empty());
+    ASSERT_EQ(edge.value(0).shape.rank(), 0);
+    check(edge);
+    EXPECT_EQ(serialize::graphSignature(
+                  serialize::parseGraph(serialize::serializeGraph(edge))),
+              textSignature(edge));
+}
+
+/**
+ * Pins serializeGraph's bytes, the canonical graphs and what the
+ * pipeline did to reach them: for every evaluation model at batch 1,
+ * the FNV-1a of the raw and canonical graph text, the canonical
+ * signature, the sweep count and every pass's removed/folded/fused
+ * totals.  `.graph` files older builds wrote into plan caches must
+ * keep loading, which a self-consistent format change would break
+ * without failing any round-trip test.  On a mismatch the actual
+ * manifest is written to the build tree; diff the two.
+ */
+TEST(GraphText, ZooGraphsMatchRecordedDigests)
+{
+    std::string actual =
+        "# <model> raw=<fnv1a64 of serializeGraph> canon=<same, "
+        "canonicalized> sig=<graphSignature of canon> sweeps=<n> "
+        "<pass>=<removed>/<folded>/<fused>..., checked by "
+        "GraphText.ZooGraphsMatchRecordedDigests\n";
+    for (const std::string &model : models::evaluationModels()) {
+        ir::Graph raw = models::buildModel(model, 1);
+        opt::PipelineStats stats;
+        ir::Graph canon = core::canonicalizeGraph(raw, &stats);
+        actual += model + " raw=" + fnv1aHex(serialize::serializeGraph(raw)) +
+                  " canon=" + fnv1aHex(serialize::serializeGraph(canon)) +
+                  " sig=" + serialize::graphSignature(canon) +
+                  " sweeps=" + std::to_string(stats.iterations);
+        for (const std::string &pass : opt::PassManager::passNames()) {
+            const opt::PassStats t = stats.totalFor(pass);
+            actual += " " + pass + "=" + std::to_string(t.nodesRemoved) +
+                      "/" + std::to_string(t.nodesFolded) + "/" +
+                      std::to_string(t.nodesFused);
+        }
+        actual += "\n";
+    }
+
+    const std::string manifest =
+        std::string(SMARTMEM_SOURCE_DIR) + "/tests/graph_digests.txt";
+    std::ifstream in(manifest);
+    std::stringstream expected;
+    expected << in.rdbuf();
+    if (expected.str() == actual)
+        return;
+    const std::string written =
+        std::string(SMARTMEM_BINARY_DIR) + "/graph_digests.actual.txt";
+    std::ofstream(written) << actual;
+    ADD_FAILURE() << "zoo graphs differ from the recorded digests: "
+                  << "diff " << manifest << " " << written;
 }
 
 // ---------------------------------------------------------------------
