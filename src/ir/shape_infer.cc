@@ -296,6 +296,11 @@ inferShape(OpKind kind, const std::vector<Shape> &in, const Attrs &attrs)
         const auto &pads = attrs.getInts("pads"); // before0,after0,...
         SM_REQUIRE(static_cast<int>(pads.size()) == 2 * in[0].rank(),
                    "pad attr size mismatch");
+        // Pad only grows: a negative entry would crop, which neither
+        // the executors nor AlgebraicSimplify's all-zero rule expect.
+        for (std::int64_t p : pads)
+            SM_REQUIRE(p >= 0, "pad entries must be non-negative, got " +
+                                   std::to_string(p));
         std::vector<std::int64_t> out = in[0].dims();
         for (int d = 0; d < in[0].rank(); ++d) {
             out[static_cast<std::size_t>(d)] +=

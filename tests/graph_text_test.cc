@@ -311,6 +311,10 @@ TEST(GraphSerialize, RejectsMalformedAndStructurallyInvalidText)
         {"five-input FusedAttention",
          replaced(replaced(good, "Relu", "FusedAttention"), "in 1 2",
                   "in 5 2 2 2 2 2")},
+        // Same output shape as an all-zero pad, but shifted by one.
+        {"negative Pad entries",
+         replaced(replaced(good, "Relu", "Pad"), "in 1 2\nattrs 0",
+                  "in 1 2\nattrs 1\nattr pads 4 0 0 1 -1")},
     };
     for (const Case &c : bad) {
         SCOPED_TRACE(c.label);

@@ -311,6 +311,24 @@ TEST(ShapeInfer, SliceAndConcatAndPad)
               Shape({2, 6}));
 }
 
+TEST(ShapeInfer, PadRejectsNegativeEntries)
+{
+    // [0, 0, 1, -1] keeps the shape but shifts the row: it must not
+    // pass for an all-zero pad.
+    for (std::vector<std::int64_t> pads :
+         {std::vector<std::int64_t>{0, 0, 1, -1},
+          std::vector<std::int64_t>{0, 0, 2, -1},
+          std::vector<std::int64_t>{-1, 0, 0, 0}}) {
+        Attrs p;
+        p.set("pads", pads);
+        EXPECT_THROW(inferShape(OpKind::Pad, {Shape({2, 4})}, p),
+                     FatalError);
+        GraphBuilder b;
+        ValueId x = b.input("x", Shape({2, 4}));
+        EXPECT_THROW(b.pad(x, pads), FatalError);
+    }
+}
+
 TEST(Macs, ConvAndMatMulCounts)
 {
     GraphBuilder b;
