@@ -51,20 +51,11 @@ struct PlannerState
     std::map<NodeId, int> groupOf;           // node -> group index
     std::vector<std::vector<NodeId>> groups; // kernels in creation order
 
-    /** value -> Graph::consumers(value), built in one pass: each node
-     *  is listed once per distinct input, in node-id order. */
-    std::vector<std::vector<NodeId>> consumers;
+    ir::ConsumerIndex consumers;
 
     explicit PlannerState(const Graph &g, const FusionPolicy &p)
-        : graph(g), policy(p), consumers(g.values().size())
+        : graph(g), policy(p), consumers(g)
     {
-        for (const Node &n : g.nodes()) {
-            for (ValueId v : n.inputs) {
-                auto &list = consumers[static_cast<std::size_t>(v)];
-                if (list.empty() || list.back() != n.id)
-                    list.push_back(n.id);
-            }
-        }
     }
 };
 
@@ -126,7 +117,7 @@ void
 effectiveConsumers(const PlannerState &st, ValueId value,
                    std::vector<NodeId> *out)
 {
-    for (NodeId c : st.consumers[static_cast<std::size_t>(value)]) {
+    for (NodeId c : st.consumers.of(value)) {
         // Eliminated Gathers keep their index constant as a second
         // input; the constant edge is irrelevant here.
         if (st.eliminated.count(c) > 0) {

@@ -32,16 +32,16 @@ smartFusion(bool lte, bool simplify_maps)
 } // namespace
 
 ir::Graph
-canonicalizeGraph(const ir::Graph &graph)
+canonicalizeGraph(ir::Graph graph)
 {
-    return canonicalizeGraph(graph, nullptr);
+    return canonicalizeGraph(std::move(graph), nullptr);
 }
 
 ir::Graph
-canonicalizeGraph(const ir::Graph &graph, opt::PipelineStats *stats)
+canonicalizeGraph(ir::Graph graph, opt::PipelineStats *stats)
 {
-    return opt::PassManager::defaultPipeline().runToFixedPoint(graph,
-                                                               stats);
+    return opt::PassManager::defaultPipeline().runToFixedPoint(
+        std::move(graph), stats);
 }
 
 SmartMemOptions

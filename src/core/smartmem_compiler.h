@@ -103,12 +103,11 @@ compileCanonical(const ir::Graph &canon, const device::DeviceProfile &dev,
  * plan-cache keys: graphs the pipeline does not rewrite keep a
  * byte-stable serialize::graphSignature().
  */
-ir::Graph canonicalizeGraph(const ir::Graph &graph);
+ir::Graph canonicalizeGraph(ir::Graph graph);
 
 /** As above, also reporting what each pass did (for `smartmem_cli opt
  *  --print-stats` and the node-count regression gate). */
-ir::Graph canonicalizeGraph(const ir::Graph &graph,
-                            opt::PipelineStats *stats);
+ir::Graph canonicalizeGraph(ir::Graph graph, opt::PipelineStats *stats);
 
 } // namespace smartmem::core
 

@@ -39,6 +39,42 @@ Graph::consumers(ValueId id) const
     return out;
 }
 
+ConsumerIndex::ConsumerIndex(const Graph &graph)
+    : offsets_(graph.values().size() + 1, 0)
+{
+    // Two passes over the edges: count, then place.  `last` lists each
+    // node once per distinct input, as Graph::consumers does.
+    std::vector<NodeId> last(graph.values().size(), invalidNode);
+    auto visit = [&](auto &&use) {
+        for (const Node &n : graph.nodes()) {
+            for (ValueId v : n.inputs) {
+                auto &seen = last[static_cast<std::size_t>(v)];
+                if (seen != n.id) {
+                    seen = n.id;
+                    use(static_cast<std::size_t>(v), n.id);
+                }
+            }
+        }
+    };
+    visit([&](std::size_t v, NodeId) { ++offsets_[v + 1]; });
+    for (std::size_t v = 1; v < offsets_.size(); ++v)
+        offsets_[v] += offsets_[v - 1];
+    nodes_.resize(offsets_.back());
+    std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+    std::fill(last.begin(), last.end(), invalidNode);
+    visit([&](std::size_t v, NodeId id) { nodes_[cursor[v]++] = id; });
+}
+
+ConsumerIndex::Range
+ConsumerIndex::of(ValueId id) const
+{
+    SM_ASSERT(id >= 0 && static_cast<std::size_t>(id) + 1 < offsets_.size(),
+              "value id out of range");
+    const NodeId *base = nodes_.data();
+    return {base + offsets_[static_cast<std::size_t>(id)],
+            base + offsets_[static_cast<std::size_t>(id) + 1]};
+}
+
 std::vector<NodeId>
 Graph::topoOrder() const
 {

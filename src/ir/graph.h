@@ -101,7 +101,7 @@ class Graph
 
     /** Node ids consuming the given value, in node-id order, each
      *  once.  Scans every node: a loop over many values should build
-     *  a value -> consumers index in one pass instead. */
+     *  a ConsumerIndex instead. */
     std::vector<NodeId> consumers(ValueId id) const;
 
     /** Nodes in a topological order (inputs before consumers). */
@@ -133,6 +133,37 @@ class Graph
     std::vector<Value> values_;
     std::vector<ValueId> inputs_;
     std::vector<ValueId> outputs_;
+};
+
+/**
+ * Graph::consumers() of every value, built in one pass over the nodes
+ * and stored as one flat array sliced by value id.  The index holds no
+ * reference to the graph it was built from.
+ */
+class ConsumerIndex
+{
+  public:
+    /** The consumers of one value: node ids in node-id order. */
+    struct Range
+    {
+        const NodeId *first;
+        const NodeId *last;
+        const NodeId *begin() const { return first; }
+        const NodeId *end() const { return last; }
+        std::size_t size() const
+        {
+            return static_cast<std::size_t>(last - first);
+        }
+    };
+
+    explicit ConsumerIndex(const Graph &graph);
+
+    /** Equals graph.consumers(id) for the graph indexed. */
+    Range of(ValueId id) const;
+
+  private:
+    std::vector<std::size_t> offsets_; // value id -> start in nodes_
+    std::vector<NodeId> nodes_;
 };
 
 /**

@@ -89,17 +89,15 @@ namespace {
 
 /** One sweep; appends PassRun records tagged with `iteration`. */
 Graph
-runSweep(const std::vector<std::unique_ptr<Pass>> &passes,
-         const Graph &graph, PipelineStats *stats, int iteration,
-         bool *changed)
+runSweep(const std::vector<std::unique_ptr<Pass>> &passes, Graph g,
+         PipelineStats *stats, int iteration, bool *changed)
 {
-    Graph g = graph;
     for (const auto &p : passes) {
         PassRun run;
         run.pass = p->name();
         run.iteration = iteration;
         run.operatorsBefore = g.operatorCount();
-        g = p->run(g, run.stats);
+        g = p->run(std::move(g), run.stats);
         if (run.stats.changed) {
             g.verify();
             *changed = true;
@@ -117,27 +115,29 @@ runSweep(const std::vector<std::unique_ptr<Pass>> &passes,
 } // namespace
 
 Graph
-PassManager::run(const Graph &graph, PipelineStats *stats) const
+PassManager::run(Graph graph, PipelineStats *stats) const
 {
+    const int before = graph.operatorCount();
     bool changed = false;
-    Graph g = runSweep(passes_, graph, stats, 0, &changed);
+    graph = runSweep(passes_, std::move(graph), stats, 0, &changed);
     if (stats != nullptr) {
         stats->iterations = 1;
-        stats->operatorsBefore = graph.operatorCount();
-        stats->operatorsAfter = g.operatorCount();
+        stats->operatorsBefore = before;
+        stats->operatorsAfter = graph.operatorCount();
     }
-    return g;
+    return graph;
 }
 
 Graph
-PassManager::runToFixedPoint(const Graph &graph, PipelineStats *stats,
+PassManager::runToFixedPoint(Graph graph, PipelineStats *stats,
                              int max_iterations) const
 {
-    Graph g = graph;
+    const int before = graph.operatorCount();
     int iteration = 0;
     for (; iteration < max_iterations; ++iteration) {
         bool changed = false;
-        g = runSweep(passes_, g, stats, iteration, &changed);
+        graph = runSweep(passes_, std::move(graph), stats, iteration,
+                         &changed);
         if (!changed) {
             ++iteration;
             break;
@@ -145,10 +145,10 @@ PassManager::runToFixedPoint(const Graph &graph, PipelineStats *stats,
     }
     if (stats != nullptr) {
         stats->iterations = iteration;
-        stats->operatorsBefore = graph.operatorCount();
-        stats->operatorsAfter = g.operatorCount();
+        stats->operatorsBefore = before;
+        stats->operatorsAfter = graph.operatorCount();
     }
-    return g;
+    return graph;
 }
 
 std::unique_ptr<Pass>
@@ -204,91 +204,108 @@ constantAttrs(const Graph &graph, const Node &n)
     return a;
 }
 
-Graph
-rewriteGraph(const Graph &graph, const std::set<NodeId> &skip,
-             const std::map<ValueId, ValueId> &redirect)
+GraphRewriter::GraphRewriter(const Graph &graph)
+    : graph_(graph), skipped_(graph.nodes().size(), 0),
+      redirect_(graph.values().size(), -1),
+      mapped_(graph.values().size(), -1)
 {
-    ir::GraphBuilder b;
-    std::map<ValueId, ValueId> value_map; // old -> new
+}
 
-    // Resolve an old value through redirects to a new value id.
-    auto resolve = [&](ValueId old) {
-        ValueId cur = old;
-        // Follow redirect chains in the old graph first.
-        for (int guard = 0; guard < 1024; ++guard) {
-            auto it = redirect.find(cur);
-            if (it == redirect.end())
-                break;
-            cur = it->second;
-        }
-        auto it = value_map.find(cur);
-        SM_ASSERT(it != value_map.end(),
-                  "rewrite: unresolved value " + std::to_string(old));
-        return it->second;
-    };
-
-    for (const Node &n : graph.nodes()) {
-        if (skip.count(n.id) > 0)
-            continue;
-        switch (n.kind) {
-          case OpKind::Input:
-            value_map[n.output] =
-                b.input(n.name, graph.value(n.output).shape,
-                        graph.value(n.output).dtype);
-            break;
-          case OpKind::Constant:
-            value_map[n.output] =
-                b.constant(n.name, graph.value(n.output).shape,
-                           graph.value(n.output).dtype,
-                           constantAttrs(graph, n));
-            break;
-          default: {
-            std::vector<ValueId> ins;
-            for (ValueId in : n.inputs)
-                ins.push_back(resolve(in));
-            value_map[n.output] =
-                b.addNode(n.kind, std::move(ins), n.attrs, n.name);
-            break;
-          }
-        }
+ValueId
+GraphRewriter::chase(ValueId v) const
+{
+    // Every pass redirects to a value produced earlier, so chains end;
+    // the bound turns a cyclic redirect into a panic, not a hang.
+    for (std::size_t hops = 0;; ++hops) {
+        const ValueId next = redirect_[static_cast<std::size_t>(v)];
+        if (next < 0)
+            return v;
+        SM_ASSERT(hops < redirect_.size(), "rewrite: redirect cycle");
+        v = next;
     }
-    for (ValueId out : graph.outputIds())
-        b.markOutput(resolve(out));
-    return b.finish();
+}
+
+ValueId
+GraphRewriter::operator()(ValueId v) const
+{
+    const ValueId now = mapped_[static_cast<std::size_t>(chase(v))];
+    SM_ASSERT(now >= 0, "rewrite: unresolved value " + std::to_string(v));
+    return now;
+}
+
+void
+GraphRewriter::copy(const Node &n)
+{
+    const ir::Value &out = graph_.value(n.output);
+    switch (n.kind) {
+      case OpKind::Input:
+        map(n.output, builder_.input(n.name, out.shape, out.dtype));
+        break;
+      case OpKind::Constant:
+        map(n.output, builder_.constant(n.name, out.shape, out.dtype,
+                                        constantAttrs(graph_, n)));
+        break;
+      default: {
+        std::vector<ValueId> ins;
+        ins.reserve(n.inputs.size());
+        for (ValueId in : n.inputs)
+            ins.push_back((*this)(in));
+        map(n.output,
+            builder_.addNode(n.kind, std::move(ins), n.attrs, n.name));
+        break;
+      }
+    }
+}
+
+Graph
+GraphRewriter::rebuild()
+{
+    for (const Node &n : graph_.nodes())
+        if (!skipped(n.id))
+            copy(n);
+    return finish();
+}
+
+Graph
+GraphRewriter::finish()
+{
+    for (ValueId out : graph_.outputIds())
+        builder_.markOutput((*this)(out));
+    return builder_.finish();
 }
 
 // ---------------------------------------------------------------- passes
 
 Graph
-DeadCodeElim::run(const Graph &graph, PassStats &stats) const
+DeadCodeElim::run(Graph graph, PassStats &stats) const
 {
     // Mark values reachable backwards from outputs.
-    std::set<ValueId> live(graph.outputIds().begin(),
-                           graph.outputIds().end());
+    std::vector<char> live(graph.values().size(), 0);
+    for (ValueId out : graph.outputIds())
+        live[static_cast<std::size_t>(out)] = 1;
     const auto &nodes = graph.nodes();
     for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
-        if (live.count(it->output) == 0)
+        if (live[static_cast<std::size_t>(it->output)] == 0)
             continue;
         for (ValueId in : it->inputs)
-            live.insert(in);
+            live[static_cast<std::size_t>(in)] = 1;
     }
-    std::set<NodeId> skip;
+    GraphRewriter rw(graph);
     for (const Node &n : nodes) {
-        if (live.count(n.output) == 0)
-            skip.insert(n.id);
+        if (live[static_cast<std::size_t>(n.output)] == 0)
+            rw.skip(n.id);
     }
-    if (skip.empty())
+    if (rw.skipCount() == 0)
         return graph;
-    stats.nodesRemoved = static_cast<int>(skip.size());
+    stats.nodesRemoved = rw.skipCount();
     stats.changed = true;
-    return rewriteGraph(graph, skip, {});
+    return rw.rebuild();
 }
 
 Graph
-IdentityElim::run(const Graph &graph, PassStats &stats) const
+IdentityElim::run(Graph graph, PassStats &stats) const
 {
-    std::set<NodeId> skip;
-    std::map<ValueId, ValueId> redirect;
+    GraphRewriter rw(graph);
     for (const Node &n : graph.nodes()) {
         bool noop = false;
         if (n.kind == OpKind::Identity) {
@@ -305,15 +322,15 @@ IdentityElim::run(const Graph &graph, PassStats &stats) const
             }
         }
         if (noop) {
-            skip.insert(n.id);
-            redirect[n.output] = n.inputs[0];
+            rw.skip(n.id);
+            rw.redirect(n.output, n.inputs[0]);
         }
     }
-    if (skip.empty())
+    if (rw.skipCount() == 0)
         return graph;
-    stats.nodesRemoved = static_cast<int>(skip.size());
+    stats.nodesRemoved = rw.skipCount();
     stats.changed = true;
-    return rewriteGraph(graph, skip, redirect);
+    return rw.rebuild();
 }
 
 } // namespace smartmem::opt

@@ -5,9 +5,10 @@
  * in src/core; these passes normalize graphs before planning.
  *
  * Passes are pure graph -> graph functions with a statistics side
- * channel (nodes removed / folded / fused).  A pass that finds nothing
- * to do MUST return its input graph unchanged: canonicalization owns
- * plan-cache keys, so an untouched graph has to keep a byte-stable
+ * channel (nodes removed / folded / fused).  A pass takes its graph by
+ * value, and one that finds nothing to do MUST return that argument
+ * unchanged -- a move, not a copy.  Canonicalization owns plan-cache
+ * keys, so an untouched graph has to keep a byte-stable
  * serialize::graphSignature().
  *
  * Rewrites renumber every value id.  Synthesized constants derive
@@ -19,9 +20,7 @@
 #ifndef SMARTMEM_OPT_PASS_H
 #define SMARTMEM_OPT_PASS_H
 
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -58,16 +57,15 @@ class Pass
     virtual std::string name() const = 0;
 
     /** Run the pass; `stats` reports what changed.  Implementations
-     *  return `graph` itself (same contents, same signature) when they
-     *  have nothing to do. */
-    virtual ir::Graph run(const ir::Graph &graph,
-                          PassStats &stats) const = 0;
+     *  return `graph` itself (same contents, same signature, same
+     *  node buffer) when they have nothing to do. */
+    virtual ir::Graph run(ir::Graph graph, PassStats &stats) const = 0;
 
     /** Convenience overload discarding statistics. */
-    ir::Graph run(const ir::Graph &graph) const
+    ir::Graph run(ir::Graph graph) const
     {
         PassStats s;
-        return run(graph, s);
+        return run(std::move(graph), s);
     }
 };
 
@@ -113,12 +111,11 @@ class PassManager
     PassManager &add(const std::string &name);
 
     /** One sweep over the pass sequence. */
-    ir::Graph run(const ir::Graph &graph,
-                  PipelineStats *stats = nullptr) const;
+    ir::Graph run(ir::Graph graph, PipelineStats *stats = nullptr) const;
 
     /** Sweep the sequence until a full sweep changes nothing (or
      *  `max_iterations` sweeps ran). */
-    ir::Graph runToFixedPoint(const ir::Graph &graph,
+    ir::Graph runToFixedPoint(ir::Graph graph,
                               PipelineStats *stats = nullptr,
                               int max_iterations = 8) const;
 
@@ -143,8 +140,7 @@ class DeadCodeElim : public Pass
 {
   public:
     std::string name() const override { return "dce"; }
-    ir::Graph run(const ir::Graph &graph,
-                  PassStats &stats) const override;
+    ir::Graph run(ir::Graph graph, PassStats &stats) const override;
     using Pass::run;
 };
 
@@ -154,8 +150,7 @@ class IdentityElim : public Pass
 {
   public:
     std::string name() const override { return "identity-elim"; }
-    ir::Graph run(const ir::Graph &graph,
-                  PassStats &stats) const override;
+    ir::Graph run(ir::Graph graph, PassStats &stats) const override;
     using Pass::run;
 };
 
@@ -171,8 +166,7 @@ class CommonSubexprElim : public Pass
 {
   public:
     std::string name() const override { return "cse"; }
-    ir::Graph run(const ir::Graph &graph,
-                  PassStats &stats) const override;
+    ir::Graph run(ir::Graph graph, PassStats &stats) const override;
     using Pass::run;
 };
 
@@ -188,8 +182,7 @@ class ConstantFold : public Pass
 {
   public:
     std::string name() const override { return "const-fold"; }
-    ir::Graph run(const ir::Graph &graph,
-                  PassStats &stats) const override;
+    ir::Graph run(ir::Graph graph, PassStats &stats) const override;
     using Pass::run;
 };
 
@@ -203,8 +196,7 @@ class AlgebraicSimplify : public Pass
 {
   public:
     std::string name() const override { return "algebraic"; }
-    ir::Graph run(const ir::Graph &graph,
-                  PassStats &stats) const override;
+    ir::Graph run(ir::Graph graph, PassStats &stats) const override;
     using Pass::run;
 };
 
@@ -218,8 +210,7 @@ class ConvBatchNormFold : public Pass
 {
   public:
     std::string name() const override { return "conv-bn-fold"; }
-    ir::Graph run(const ir::Graph &graph,
-                  PassStats &stats) const override;
+    ir::Graph run(ir::Graph graph, PassStats &stats) const override;
     using Pass::run;
 };
 
@@ -241,21 +232,75 @@ class AttentionFusion : public Pass
 {
   public:
     std::string name() const override { return "attention-fusion"; }
-    ir::Graph run(const ir::Graph &graph,
-                  PassStats &stats) const override;
+    ir::Graph run(ir::Graph graph, PassStats &stats) const override;
     using Pass::run;
 };
 
 /**
- * Rebuild a graph, skipping `skip` nodes.  A skipped node's output is
- * redirected to the (new id of the) value `redirect` maps it to; the
- * redirect target must not itself be skipped-without-redirect.
- * Synthesized constants are stamped with their original stream id (see
- * file header).
+ * Rebuilds `graph` through a GraphBuilder.  A pass marks the nodes it
+ * drops (`skip`) and redirects their outputs to surviving values
+ * (chains are followed), emits the nodes it rewrites through
+ * `builder()` and `map()`, and `copy()`s the rest in node order; then
+ * `finish()` marks the outputs and verifies.  The bookkeeping is flat
+ * vectors indexed by node and value id.  Copied synthesized constants
+ * are stamped with their original stream id (see file header).
  */
-ir::Graph rewriteGraph(const ir::Graph &graph,
-                       const std::set<ir::NodeId> &skip,
-                       const std::map<ir::ValueId, ir::ValueId> &redirect);
+class GraphRewriter
+{
+  public:
+    explicit GraphRewriter(const ir::Graph &graph);
+
+    /** Drop node `n` (idempotent). */
+    void skip(ir::NodeId n)
+    {
+        char &s = skipped_[static_cast<std::size_t>(n)];
+        skipCount_ += s == 0;
+        s = 1;
+    }
+    bool skipped(ir::NodeId n) const
+    {
+        return skipped_[static_cast<std::size_t>(n)] != 0;
+    }
+    int skipCount() const { return skipCount_; }
+
+    /** Reads of old value `from` read old value `to` instead. */
+    void redirect(ir::ValueId from, ir::ValueId to)
+    {
+        redirect_[static_cast<std::size_t>(from)] = to;
+    }
+
+    /** `v` with redirects followed: still an id of the old graph. */
+    ir::ValueId chase(ir::ValueId v) const;
+
+    /** The rebuilt id of old value `v`, redirects followed; panics if
+     *  that value has not been emitted yet. */
+    ir::ValueId operator()(ir::ValueId v) const;
+
+    /** Record that old value `old` was rebuilt as `now`. */
+    void map(ir::ValueId old, ir::ValueId now)
+    {
+        mapped_[static_cast<std::size_t>(old)] = now;
+    }
+
+    ir::GraphBuilder &builder() { return builder_; }
+
+    /** Emit `n` unchanged, inputs remapped. */
+    void copy(const ir::Node &n);
+
+    /** Copy every node not skipped, then finish(). */
+    ir::Graph rebuild();
+
+    /** Mark the old graph's outputs, remapped, and verify. */
+    ir::Graph finish();
+
+  private:
+    const ir::Graph &graph_;
+    ir::GraphBuilder builder_;
+    std::vector<char> skipped_;         // by old node id
+    std::vector<ir::ValueId> redirect_; // by old value id, -1 = none
+    std::vector<ir::ValueId> mapped_;   // by old value id, -1 = not yet
+    int skipCount_ = 0;
+};
 
 /**
  * Attrs for rebuilding the Constant node `n` produced in `graph`:

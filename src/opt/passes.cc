@@ -12,9 +12,10 @@
 #include "opt/pass.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
-
-#include "support/error.h"
+#include <unordered_map>
+#include <vector>
 
 namespace smartmem::opt {
 
@@ -59,116 +60,101 @@ producerOf(const Graph &g, ValueId v)
     return g.node(g.value(v).producer);
 }
 
-/** Copy one non-rewritten node into the builder. */
-void
-copyNode(ir::GraphBuilder &b, const Graph &graph, const Node &n,
-         std::map<ValueId, ValueId> &vmap,
-         const std::map<ValueId, ValueId> &redirect)
+/**
+ * What CSE merges on: an operator's kind, inputs (redirects followed)
+ * and attributes, or a literal constant's dims, dtype and attributes
+ * (payload included).  Attribute keys hold no spaces, so equal keys
+ * are exactly the nodes whose Attrs::toString() texts also agree.
+ */
+struct CseKey
 {
-    auto resolve = [&](ValueId old) {
-        ValueId cur = old;
-        for (int guard = 0; guard < 1024; ++guard) {
-            auto it = redirect.find(cur);
-            if (it == redirect.end())
-                break;
-            cur = it->second;
-        }
-        auto it = vmap.find(cur);
-        SM_ASSERT(it != vmap.end(),
-                  "pass rewrite: unresolved value " +
-                      std::to_string(old));
-        return it->second;
-    };
-    switch (n.kind) {
-      case OpKind::Input:
-        vmap[n.output] = b.input(n.name, graph.value(n.output).shape,
-                                 graph.value(n.output).dtype);
-        break;
-      case OpKind::Constant:
-        vmap[n.output] =
-            b.constant(n.name, graph.value(n.output).shape,
-                       graph.value(n.output).dtype,
-                       constantAttrs(graph, n));
-        break;
-      default: {
-        std::vector<ValueId> ins;
-        for (ValueId in : n.inputs)
-            ins.push_back(resolve(in));
-        vmap[n.output] = b.addNode(n.kind, std::move(ins), n.attrs,
-                                   n.name);
-        break;
-      }
+    OpKind kind;
+    ir::DType dtype;                    // literal constants only
+    std::vector<std::int64_t> operands; // inputs, or constant dims
+    const Attrs *attrs;
+
+    bool operator==(const CseKey &o) const
+    {
+        return kind == o.kind && dtype == o.dtype &&
+               operands == o.operands &&
+               attrs->entries() == o.attrs->entries();
     }
-}
+};
+
+/** Mixes every integer of the key; attribute names are left to
+ *  operator==, since operators of one kind share them. */
+struct CseKeyHash
+{
+    std::size_t operator()(const CseKey &k) const
+    {
+        std::uint64_t h = static_cast<std::uint64_t>(k.kind) << 8 |
+                          static_cast<std::uint64_t>(k.dtype);
+        auto mix = [&h](std::uint64_t v) {
+            h = (h ^ v) * 0x9e3779b97f4a7c15ull;
+            h ^= h >> 29;
+        };
+        for (std::int64_t v : k.operands)
+            mix(static_cast<std::uint64_t>(v));
+        for (const auto &entry : k.attrs->entries()) {
+            mix(entry.second.size());
+            for (std::int64_t v : entry.second)
+                mix(static_cast<std::uint64_t>(v));
+        }
+        return static_cast<std::size_t>(h);
+    }
+};
 
 } // namespace
 
 // ------------------------------------------------------------------- CSE
 
 Graph
-CommonSubexprElim::run(const Graph &graph, PassStats &stats) const
+CommonSubexprElim::run(Graph graph, PassStats &stats) const
 {
-    std::set<NodeId> skip;
-    std::map<ValueId, ValueId> redirect;
-    auto resolve = [&](ValueId v) {
-        for (int guard = 0; guard < 1024; ++guard) {
-            auto it = redirect.find(v);
-            if (it == redirect.end())
-                break;
-            v = it->second;
-        }
-        return v;
-    };
-
-    std::map<std::string, ValueId> seen;
+    GraphRewriter rw(graph);
+    std::unordered_map<CseKey, ValueId, CseKeyHash> seen;
     for (const Node &n : graph.nodes()) {
-        std::string key;
         if (n.kind == OpKind::Input)
             continue;
+        CseKey key{n.kind, ir::DType::F16, {}, &n.attrs};
         if (n.kind == OpKind::Constant) {
             // Only literal-payload constants merge; synthesized
             // streams are distinct weights by construction.
             if (!n.attrs.has("data"))
                 continue;
-            key = "const|" + graph.value(n.output).shape.toString() +
-                  "|" +
-                  std::to_string(
-                      static_cast<int>(graph.value(n.output).dtype)) +
-                  "|" + n.attrs.toString();
+            const ir::Value &out = graph.value(n.output);
+            key.dtype = out.dtype;
+            key.operands = out.shape.dims();
         } else {
-            key = ir::opKindName(n.kind) + "|" + n.attrs.toString();
-            std::vector<ValueId> ins;
-            ins.reserve(n.inputs.size());
+            key.operands.reserve(n.inputs.size());
             for (ValueId in : n.inputs)
-                ins.push_back(resolve(in));
+                key.operands.push_back(rw.chase(in));
             // Value-number commutative operands: a+b and b+a share a key.
             if (n.kind == OpKind::Add || n.kind == OpKind::Mul)
-                std::sort(ins.begin(), ins.end());
-            for (ValueId in : ins)
-                key += "|" + std::to_string(in);
+                std::sort(key.operands.begin(), key.operands.end());
         }
-        auto ins = seen.emplace(key, n.output);
+        auto ins = seen.emplace(std::move(key), n.output);
         if (!ins.second) {
-            skip.insert(n.id);
-            redirect[n.output] = ins.first->second;
+            rw.skip(n.id);
+            rw.redirect(n.output, ins.first->second);
             ++stats.nodesRemoved;
         }
     }
-    if (skip.empty())
+    if (rw.skipCount() == 0)
         return graph;
     stats.changed = true;
-    return rewriteGraph(graph, skip, redirect);
+    return rw.rebuild();
 }
 
 // -------------------------------------------------------- constant fold
 
 Graph
-ConstantFold::run(const Graph &graph, PassStats &stats) const
+ConstantFold::run(Graph graph, PassStats &stats) const
 {
     // Decide every fold against the original graph; chains of folds
     // (e.g. Reshape of a folded Gather) converge across fixed-point
-    // sweeps.
-    std::map<NodeId, Attrs> folds; // node -> new Constant attrs
+    // sweeps.  folds[n] holds the attrs of the Constant replacing n.
+    std::vector<std::optional<Attrs>> folds(graph.nodes().size());
     for (const Node &n : graph.nodes()) {
         if (n.kind == OpKind::Gather) {
             const Node &table = producerOf(graph, n.inputs[0]);
@@ -202,7 +188,8 @@ ConstantFold::run(const Graph &graph, PassStats &stats) const
             } else {
                 continue; // already-derived table: leave to next sweep
             }
-            folds.emplace(n.id, std::move(a));
+            folds[static_cast<std::size_t>(n.id)] = std::move(a);
+            ++stats.nodesFolded;
         } else if (n.kind == OpKind::Reshape) {
             const Node &c = producerOf(graph, n.inputs[0]);
             if (c.kind != OpKind::Constant)
@@ -213,44 +200,38 @@ ConstantFold::run(const Graph &graph, PassStats &stats) const
                 continue;
             // Row-major contents are reshape-invariant for literal,
             // synthesized, and gather-derived constants alike.
-            folds.emplace(n.id, constantAttrs(graph, c));
+            folds[static_cast<std::size_t>(n.id)] = constantAttrs(graph, c);
+            ++stats.nodesFolded;
         }
     }
-    if (folds.empty())
+    if (stats.nodesFolded == 0)
         return graph;
     stats.changed = true;
-    stats.nodesFolded = static_cast<int>(folds.size());
 
-    ir::GraphBuilder b;
-    std::map<ValueId, ValueId> vmap;
+    GraphRewriter rw(graph);
     for (const Node &n : graph.nodes()) {
-        auto fit = folds.find(n.id);
-        if (fit != folds.end()) {
-            vmap[n.output] =
-                b.constant(n.name + ".fold",
-                           graph.value(n.output).shape,
-                           graph.value(n.output).dtype, fit->second);
+        auto &fold = folds[static_cast<std::size_t>(n.id)];
+        if (!fold) {
+            rw.copy(n);
             continue;
         }
-        copyNode(b, graph, n, vmap, {});
+        const ir::Value &out = graph.value(n.output);
+        rw.map(n.output, rw.builder().constant(n.name + ".fold", out.shape,
+                                               out.dtype, std::move(*fold)));
     }
-    for (ValueId out : graph.outputIds()) {
-        auto it = vmap.find(out);
-        SM_ASSERT(it != vmap.end(), "const-fold lost a graph output");
-        b.markOutput(it->second);
-    }
-    return b.finish();
+    return rw.finish();
 }
 
 // ------------------------------------------------------------ algebraic
 
 Graph
-AlgebraicSimplify::run(const Graph &graph, PassStats &stats) const
+AlgebraicSimplify::run(Graph graph, PassStats &stats) const
 {
-    std::set<NodeId> skip;                  // dropped nodes
-    std::map<ValueId, ValueId> redirect;    // their outputs
-    std::map<NodeId, ValueId> rewire;       // n reads this instead
-    std::map<NodeId, std::vector<std::int64_t>> new_perm;
+    GraphRewriter rw(graph); // dropped nodes redirect their outputs
+    // Node n reads rewire[n] instead; a non-empty new_perm[n] replaces
+    // its Transpose permutation.
+    std::vector<ValueId> rewire(graph.nodes().size(), -1);
+    std::vector<std::vector<std::int64_t>> new_perm(graph.nodes().size());
 
     auto literalAll = [&](ValueId v, std::int64_t value) {
         const Node &c = producerOf(graph, v);
@@ -265,8 +246,8 @@ AlgebraicSimplify::run(const Graph &graph, PassStats &stats) const
         return graph.value(a).shape == graph.value(b2).shape;
     };
     auto drop = [&](const Node &n, ValueId to) {
-        skip.insert(n.id);
-        redirect[n.output] = to;
+        rw.skip(n.id);
+        rw.redirect(n.output, to);
         ++stats.nodesRemoved;
     };
 
@@ -323,7 +304,7 @@ AlgebraicSimplify::run(const Graph &graph, PassStats &stats) const
                 ++hops;
             }
             if (hops > 0) {
-                rewire[n.id] = src;
+                rewire[static_cast<std::size_t>(n.id)] = src;
                 stats.nodesFused += hops;
             }
             break;
@@ -347,8 +328,9 @@ AlgebraicSimplify::run(const Graph &graph, PassStats &stats) const
             if (identity) {
                 drop(n, p.inputs[0]);
             } else {
-                rewire[n.id] = p.inputs[0];
-                new_perm[n.id] = std::move(composed);
+                rewire[static_cast<std::size_t>(n.id)] = p.inputs[0];
+                new_perm[static_cast<std::size_t>(n.id)] =
+                    std::move(composed);
                 ++stats.nodesFused;
             }
             break;
@@ -357,60 +339,44 @@ AlgebraicSimplify::run(const Graph &graph, PassStats &stats) const
             break;
         }
     }
-    if (skip.empty() && rewire.empty())
+    if (stats.total() == 0) // nothing dropped or rewired
         return graph;
     stats.changed = true;
 
-    ir::GraphBuilder b;
-    std::map<ValueId, ValueId> vmap;
-    auto resolve = [&](ValueId old) {
-        ValueId cur = old;
-        for (int guard = 0; guard < 1024; ++guard) {
-            auto it = redirect.find(cur);
-            if (it == redirect.end())
-                break;
-            cur = it->second;
-        }
-        auto it = vmap.find(cur);
-        SM_ASSERT(it != vmap.end(),
-                  "algebraic: unresolved value " + std::to_string(old));
-        return it->second;
-    };
     for (const Node &n : graph.nodes()) {
-        if (skip.count(n.id) > 0)
+        if (rw.skipped(n.id))
             continue;
-        auto rit = rewire.find(n.id);
-        if (rit != rewire.end()) {
-            Attrs a = n.attrs;
-            auto pit = new_perm.find(n.id);
-            if (pit != new_perm.end())
-                a.set("perm", pit->second);
-            vmap[n.output] = b.addNode(
-                n.kind, {resolve(rit->second)}, std::move(a), n.name);
+        const ValueId src = rewire[static_cast<std::size_t>(n.id)];
+        if (src < 0) {
+            rw.copy(n);
             continue;
         }
-        copyNode(b, graph, n, vmap, redirect);
+        Attrs a = n.attrs;
+        auto &perm = new_perm[static_cast<std::size_t>(n.id)];
+        if (!perm.empty())
+            a.set("perm", std::move(perm));
+        rw.map(n.output, rw.builder().addNode(n.kind, {rw(src)},
+                                              std::move(a), n.name));
     }
-    for (ValueId out : graph.outputIds())
-        b.markOutput(resolve(out));
-    return b.finish();
+    return rw.finish();
 }
 
 // --------------------------------------------------------- conv+bn fold
 
 Graph
-ConvBatchNormFold::run(const Graph &graph, PassStats &stats) const
+ConvBatchNormFold::run(Graph graph, PassStats &stats) const
 {
+    const ir::ConsumerIndex consumers(graph);
+    GraphRewriter rw(graph); // skips each folded conv
     // bn node -> its conv producer, for every fusible pair.
-    std::map<NodeId, NodeId> fold_conv;
-    std::set<NodeId> skip_conv;
+    std::vector<NodeId> fold_conv(graph.nodes().size(), ir::invalidNode);
     for (const Node &bn : graph.nodes()) {
         if (bn.kind != OpKind::BatchNorm)
             continue;
         const Node &conv = producerOf(graph, bn.inputs[0]);
         if (!ir::isConv(conv.kind) || conv.inputs.size() != 2)
             continue;
-        if (graph.consumers(conv.output).size() != 1 ||
+        if (consumers.of(conv.output).size() != 1 ||
             isGraphOutput(graph, conv.output))
             continue;
         const Node &w = producerOf(graph, conv.inputs[1]);
@@ -422,26 +388,25 @@ ConvBatchNormFold::run(const Graph &graph, PassStats &stats) const
         if (!isPlainSynth(w) || !isPlainSynth(scale) ||
             bias.kind != OpKind::Constant)
             continue;
-        fold_conv[bn.id] = conv.id;
-        skip_conv.insert(conv.id);
+        fold_conv[static_cast<std::size_t>(bn.id)] = conv.id;
+        rw.skip(conv.id);
     }
-    if (fold_conv.empty())
+    if (rw.skipCount() == 0)
         return graph;
     stats.changed = true;
-    stats.nodesFolded = static_cast<int>(fold_conv.size());
+    stats.nodesFolded = rw.skipCount();
 
-    ir::GraphBuilder b;
-    std::map<ValueId, ValueId> vmap;
+    ir::GraphBuilder &b = rw.builder();
     for (const Node &n : graph.nodes()) {
-        if (skip_conv.count(n.id) > 0)
+        if (rw.skipped(n.id))
             continue; // re-emitted at the BatchNorm's position
-        auto fit = fold_conv.find(n.id);
-        if (fit == fold_conv.end()) {
-            copyNode(b, graph, n, vmap, {});
+        const NodeId conv_id = fold_conv[static_cast<std::size_t>(n.id)];
+        if (conv_id == ir::invalidNode) {
+            rw.copy(n);
             continue;
         }
         const Node &bn = n;
-        const Node &conv = graph.node(fit->second);
+        const Node &conv = graph.node(conv_id);
         const Node &w = producerOf(graph, conv.inputs[1]);
         const Node &scale = producerOf(graph, bn.inputs[1]);
 
@@ -454,25 +419,11 @@ ConvBatchNormFold::run(const Graph &graph, PassStats &stats) const
             b.constant(w.name + ".bnfold",
                        graph.value(w.output).shape,
                        graph.value(w.output).dtype, std::move(wa));
-
-        auto mapped = [&](ValueId v) {
-            auto it = vmap.find(v);
-            SM_ASSERT(it != vmap.end(),
-                      "conv-bn-fold: unresolved value " +
-                          std::to_string(v));
-            return it->second;
-        };
-        vmap[bn.output] = b.addNode(
-            conv.kind,
-            {mapped(conv.inputs[0]), wid, mapped(bn.inputs[2])},
-            conv.attrs, conv.name);
+        const ValueId x = rw(conv.inputs[0]);
+        rw.map(bn.output, b.addNode(conv.kind, {x, wid, rw(bn.inputs[2])},
+                                    conv.attrs, conv.name));
     }
-    for (ValueId out : graph.outputIds()) {
-        auto it = vmap.find(out);
-        SM_ASSERT(it != vmap.end(), "conv-bn-fold lost a graph output");
-        b.markOutput(it->second);
-    }
-    return b.finish();
+    return rw.finish();
 }
 
 // ---------------------------------------------------- attention fusion
@@ -490,17 +441,16 @@ struct AttentionChain
     std::int64_t scaleMilli = 1000;
 };
 
-/** An intermediate may only feed the next link of the chain. */
-bool
-soleUse(const Graph &g, ValueId v)
-{
-    return g.consumers(v).size() == 1 && !isGraphOutput(g, v);
-}
-
 /** Match the chain ending at `bmm2`; nullopt when anything is off. */
 std::optional<AttentionChain>
-matchAttentionChain(const Graph &g, const Node &bmm2)
+matchAttentionChain(const Graph &g, const ir::ConsumerIndex &consumers,
+                    const Node &bmm2)
 {
+    // An intermediate may only feed the next link of the chain.
+    auto soleUse = [&](ValueId v) {
+        return consumers.of(v).size() == 1 && !isGraphOutput(g, v);
+    };
+
     if (bmm2.kind != OpKind::BatchMatMul ||
         bmm2.attrs.getInt("transB", 0) != 0)
         return std::nullopt;
@@ -511,7 +461,7 @@ matchAttentionChain(const Graph &g, const Node &bmm2)
     c.v = bmm2.inputs[1];
 
     const Node &sm = producerOf(g, bmm2.inputs[0]);
-    if (sm.kind != OpKind::Softmax || !soleUse(g, sm.output))
+    if (sm.kind != OpKind::Softmax || !soleUse(sm.output))
         return std::nullopt;
     const ir::Shape &score = g.value(sm.inputs[0]).shape;
     if (score.rank() != 3)
@@ -527,7 +477,7 @@ matchAttentionChain(const Graph &g, const Node &bmm2)
 
     // Optional single bias Add of a Constant broadcastable over [N, M].
     if (cur->kind == OpKind::Add) {
-        if (!soleUse(g, cur->output))
+        if (!soleUse(cur->output))
             return std::nullopt;
         const Node &lhs = producerOf(g, cur->inputs[0]);
         const Node &rhs = producerOf(g, cur->inputs[1]);
@@ -557,7 +507,7 @@ matchAttentionChain(const Graph &g, const Node &bmm2)
     // Optional Scale.  A second Add above it (bias + mask stacks)
     // falls through to the BatchMatMul check below and misses.
     if (cur->kind == OpKind::Scale) {
-        if (!soleUse(g, cur->output))
+        if (!soleUse(cur->output))
             return std::nullopt;
         c.scaleMilli = cur->attrs.getInt("scale_milli", 1000);
         c.merged.push_back(cur->id);
@@ -566,7 +516,7 @@ matchAttentionChain(const Graph &g, const Node &bmm2)
 
     if (cur->kind != OpKind::BatchMatMul ||
         cur->attrs.getInt("transB", 0) == 0 ||
-        !soleUse(g, cur->output))
+        !soleUse(cur->output))
         return std::nullopt;
     if (g.value(cur->inputs[0]).shape.rank() != 3 ||
         g.value(cur->inputs[1]).shape.rank() != 3)
@@ -580,59 +530,43 @@ matchAttentionChain(const Graph &g, const Node &bmm2)
 } // namespace
 
 Graph
-AttentionFusion::run(const Graph &graph, PassStats &stats) const
+AttentionFusion::run(Graph graph, PassStats &stats) const
 {
-    std::map<NodeId, AttentionChain> chains; // exit bmm2 -> chain
-    std::set<NodeId> skip;
+    const ir::ConsumerIndex consumers(graph);
+    GraphRewriter rw(graph); // skips every merged node
+    // exit bmm2 -> its chain
+    std::vector<std::optional<AttentionChain>> chains(graph.nodes().size());
     for (const Node &n : graph.nodes()) {
-        auto c = matchAttentionChain(graph, n);
-        if (!c)
-            continue;
-        chains.emplace(n.id, std::move(*c));
-        for (NodeId id : chains.at(n.id).merged)
-            skip.insert(id);
+        auto &c = chains[static_cast<std::size_t>(n.id)];
+        c = matchAttentionChain(graph, consumers, n);
+        if (c)
+            for (NodeId id : c->merged)
+                rw.skip(id);
     }
-    if (chains.empty())
+    if (rw.skipCount() == 0)
         return graph;
     stats.changed = true;
-    stats.nodesFused = static_cast<int>(skip.size());
+    stats.nodesFused = rw.skipCount();
 
-    ir::GraphBuilder b;
-    std::map<ValueId, ValueId> vmap;
     for (const Node &n : graph.nodes()) {
-        if (skip.count(n.id) > 0)
+        if (rw.skipped(n.id))
             continue;
-        auto cit = chains.find(n.id);
-        if (cit == chains.end()) {
-            copyNode(b, graph, n, vmap, {});
+        const auto &c = chains[static_cast<std::size_t>(n.id)];
+        if (!c) {
+            rw.copy(n);
             continue;
         }
-        const AttentionChain &c = cit->second;
-        auto mapped = [&](ValueId v) {
-            auto it = vmap.find(v);
-            SM_ASSERT(it != vmap.end(),
-                      "attention-fusion: unresolved value " +
-                          std::to_string(v));
-            return it->second;
-        };
-        std::vector<ValueId> ins = {mapped(c.q), mapped(c.k),
-                                    mapped(c.v)};
-        if (c.bias >= 0)
-            ins.push_back(mapped(c.bias));
+        std::vector<ValueId> ins = {rw(c->q), rw(c->k), rw(c->v)};
+        if (c->bias >= 0)
+            ins.push_back(rw(c->bias));
         Attrs a;
-        if (c.scaleMilli != 1000)
-            a.set("scale_milli", c.scaleMilli);
-        vmap[n.output] = b.addNode(OpKind::FusedAttention,
-                                   std::move(ins), std::move(a),
-                                   n.name + ".attn");
+        if (c->scaleMilli != 1000)
+            a.set("scale_milli", c->scaleMilli);
+        rw.map(n.output,
+               rw.builder().addNode(OpKind::FusedAttention, std::move(ins),
+                                    std::move(a), n.name + ".attn"));
     }
-    for (ValueId out : graph.outputIds()) {
-        auto it = vmap.find(out);
-        SM_ASSERT(it != vmap.end(),
-                  "attention-fusion lost a graph output");
-        b.markOutput(it->second);
-    }
-    return b.finish();
+    return rw.finish();
 }
 
 } // namespace smartmem::opt

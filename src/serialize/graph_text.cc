@@ -1,25 +1,16 @@
 #include "serialize/graph_text.h"
 
+#include <charconv>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 #include "serialize/text_reader.h"
 #include "support/error.h"
 #include "support/hash.h"
-#include "support/strings.h"
 
 namespace smartmem::serialize {
 
 namespace {
-
-/** Shapes as single space-free tokens: "[1,64,56,56]", "[]" for rank
- *  0.  Shape::parse() accepts this compact form. */
-std::string
-compactShape(const ir::Shape &shape)
-{
-    return "[" + joinInts(shape.dims(), ",") + "]";
-}
 
 void
 requireWritable(const std::string &name, const char *what)
@@ -27,6 +18,67 @@ requireWritable(const std::string &name, const char *what)
     SM_REQUIRE(name.find('\n') == std::string::npos,
                std::string(what) + " contains a newline and cannot be "
                "serialized: '" + name + "'");
+}
+
+/** `v`'s digits, appended: the digits std::to_string and ostream
+ *  write. */
+void
+appendInt(std::string &out, std::int64_t v)
+{
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
+}
+
+/** `sep`, then `v` -- a space-separated list element. */
+void
+appendInt(std::string &out, char sep, std::int64_t v)
+{
+    out += sep;
+    appendInt(out, v);
+}
+
+/** Attribute bytes of the signature: "{key=v, key=[a,b], key=[]}",
+ *  keys sorted, one-element lists written bare. */
+void
+signAttrs(Fnv1a &f, const ir::Attrs &attrs)
+{
+    f.bytes("{");
+    bool first = true;
+    for (const auto &[key, vals] : attrs.entries()) {
+        if (!first)
+            f.bytes(", ");
+        first = false;
+        f.bytes(key);
+        f.bytes("=");
+        if (vals.size() == 1) {
+            f.decimal(vals[0]);
+            continue;
+        }
+        f.bytes("[");
+        for (std::size_t i = 0; i < vals.size(); ++i) {
+            if (i > 0)
+                f.bytes(",");
+            f.decimal(vals[i]);
+        }
+        f.bytes("]");
+    }
+    f.bytes("}");
+    f.endField();
+}
+
+/** Shape bytes of the signature: "[2, 256, 4]", "[]" for rank 0. */
+void
+signShape(Fnv1a &f, const ir::Shape &shape)
+{
+    f.bytes("[");
+    for (std::size_t i = 0; i < shape.dims().size(); ++i) {
+        if (i > 0)
+            f.bytes(", ");
+        f.decimal(shape.dims()[i]);
+    }
+    f.bytes("]");
+    f.endField();
 }
 
 } // namespace
@@ -38,80 +90,107 @@ graphSignature(const ir::Graph &graph)
     f.feed(static_cast<std::int64_t>(graph.nodes().size()));
     f.feed(static_cast<std::int64_t>(graph.values().size()));
     for (const ir::Node &n : graph.nodes()) {
-        f.feed(static_cast<std::int64_t>(n.id));
-        f.feed(ir::opKindName(n.kind));
+        f.feed(n.id);
+        f.feed(ir::opInfo(n.kind).name);
         f.feed(n.name);
         for (ir::ValueId v : n.inputs)
-            f.feed(static_cast<std::int64_t>(v));
-        f.feed(static_cast<std::int64_t>(n.output));
-        f.feed(n.attrs.toString());
+            f.feed(v);
+        f.feed(n.output);
+        signAttrs(f, n.attrs);
     }
     for (const ir::Value &v : graph.values()) {
-        f.feed(static_cast<std::int64_t>(v.id));
+        f.feed(v.id);
         f.feed(v.name);
-        f.feed(v.shape.toString());
+        signShape(f, v.shape);
         f.feed(static_cast<std::int64_t>(v.dtype));
-        f.feed(static_cast<std::int64_t>(v.producer));
+        f.feed(v.producer);
     }
     for (ir::ValueId v : graph.inputIds())
-        f.feed(static_cast<std::int64_t>(v));
+        f.feed(v);
     for (ir::ValueId v : graph.outputIds())
-        f.feed(static_cast<std::int64_t>(v));
+        f.feed(v);
     return f.hex();
 }
 
 std::string
 serializeGraph(const ir::Graph &graph)
 {
-    std::ostringstream os;
-    os << "smartmem-graph v" << kGraphFormatVersion << "\n";
+    std::string out;
+    // "<label><count> <id>...\n"
+    auto idList = [&out](const char *label,
+                         const std::vector<ir::ValueId> &ids) {
+        out += label;
+        appendInt(out, static_cast<std::int64_t>(ids.size()));
+        for (ir::ValueId v : ids)
+            appendInt(out, ' ', v);
+        out += '\n';
+    };
 
-    os << "values " << graph.values().size() << "\n";
+    out += "smartmem-graph v";
+    appendInt(out, kGraphFormatVersion);
+    out += "\nvalues ";
+    appendInt(out, static_cast<std::int64_t>(graph.values().size()));
+    out += '\n';
     for (const ir::Value &v : graph.values()) {
         requireWritable(v.name, "value name");
-        os << "value " << v.id << " " << ir::dtypeName(v.dtype) << " "
-           << compactShape(v.shape);
-        if (!v.name.empty())
-            os << " " << v.name;
-        os << "\n";
+        out += "value ";
+        appendInt(out, v.id);
+        out += ' ';
+        out += ir::dtypeName(v.dtype);
+        // Shapes are single space-free tokens: "[1,64,56,56]", "[]"
+        // for rank 0.  Shape::parse() accepts this compact form.
+        out += " [";
+        for (std::size_t i = 0; i < v.shape.dims().size(); ++i) {
+            if (i > 0)
+                out += ',';
+            appendInt(out, v.shape.dims()[i]);
+        }
+        out += ']';
+        if (!v.name.empty()) {
+            out += ' ';
+            out += v.name;
+        }
+        out += '\n';
     }
 
-    os << "nodes " << graph.nodes().size() << "\n";
+    out += "nodes ";
+    appendInt(out, static_cast<std::int64_t>(graph.nodes().size()));
+    out += '\n';
     for (const ir::Node &n : graph.nodes()) {
         requireWritable(n.name, "node name");
-        os << "node " << n.id << " " << ir::opKindName(n.kind) << " "
-           << n.output << "\n";
-        os << "name";
-        if (!n.name.empty())
-            os << " " << n.name;
-        os << "\n";
-        os << "in " << n.inputs.size();
-        for (ir::ValueId in : n.inputs)
-            os << " " << in;
-        os << "\n";
-        os << "attrs " << n.attrs.entries().size() << "\n";
+        out += "node ";
+        appendInt(out, n.id);
+        out += ' ';
+        out += ir::opInfo(n.kind).name;
+        appendInt(out, ' ', n.output);
+        out += "\nname";
+        if (!n.name.empty()) {
+            out += ' ';
+            out += n.name;
+        }
+        out += '\n';
+        idList("in ", n.inputs);
+        out += "attrs ";
+        appendInt(out, static_cast<std::int64_t>(n.attrs.entries().size()));
+        out += '\n';
         for (const auto &[key, vals] : n.attrs.entries()) {
             SM_REQUIRE(!key.empty() &&
                        key.find(' ') == std::string::npos &&
                        key.find('\n') == std::string::npos,
                        "attr key not serializable: '" + key + "'");
-            os << "attr " << key << " " << vals.size();
+            out += "attr ";
+            out += key;
+            appendInt(out, ' ', static_cast<std::int64_t>(vals.size()));
             for (std::int64_t v : vals)
-                os << " " << v;
-            os << "\n";
+                appendInt(out, ' ', v);
+            out += '\n';
         }
     }
 
-    os << "inputs " << graph.inputIds().size();
-    for (ir::ValueId v : graph.inputIds())
-        os << " " << v;
-    os << "\n";
-    os << "outputs " << graph.outputIds().size();
-    for (ir::ValueId v : graph.outputIds())
-        os << " " << v;
-    os << "\n";
-    os << "end\n";
-    return os.str();
+    idList("inputs ", graph.inputIds());
+    idList("outputs ", graph.outputIds());
+    out += "end\n";
+    return out;
 }
 
 ir::Graph

@@ -61,6 +61,15 @@ constexpr int kGraphFormatVersion = 1;
  * graph inputs and outputs).  Two graphs with equal signatures are
  * interchangeable as the graph of a serialized plan; cache keys for
  * compiled plans embed the signature of the canonicalized graph.
+ *
+ * The hashed bytes are defined in graph_text.cc, not by the debug
+ * printers: each id in decimal, each name, attributes as
+ * "{key=v, key=[a,b]}" and shapes as "[2, 256, 4]", one field each.
+ * Attrs::toString() and Shape::toString() print the same text today
+ * (GraphText.SignatureMatchesTextDefinition), but changing them must
+ * not change a cache key.  The hash streams these bytes without
+ * building strings; it is not cached on the graph, since builders
+ * expose partial graphs and plans are shared across threads.
  */
 std::string graphSignature(const ir::Graph &graph);
 

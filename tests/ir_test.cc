@@ -221,6 +221,28 @@ TEST(GraphBuilder, ConsumersAndTopoOrder)
     EXPECT_EQ(topo.size(), g.nodes().size());
 }
 
+TEST(GraphBuilder, ConsumerIndexMatchesConsumers)
+{
+    GraphBuilder b;
+    ValueId x = b.input("x", Shape({4, 4}));
+    ValueId a = b.unary(OpKind::Relu, x);
+    ValueId sq = b.binary(OpKind::Mul, a, a); // one consumer, twice
+    ValueId c = b.binary(OpKind::Add, sq, x);
+    b.unary(OpKind::Exp, x);                  // dead, still a consumer
+    b.markOutput(c);
+    Graph g = b.finish();
+    const ir::ConsumerIndex index(g);
+    for (const ir::Value &v : g.values()) {
+        SCOPED_TRACE("value " + std::to_string(v.id));
+        const auto range = index.of(v.id);
+        EXPECT_EQ(std::vector<ir::NodeId>(range.begin(), range.end()),
+                  g.consumers(v.id));
+    }
+    EXPECT_EQ(index.of(x).size(), 3u);
+    EXPECT_EQ(index.of(a).size(), 1u);
+    EXPECT_EQ(index.of(c).size(), 0u);
+}
+
 TEST(ShapeInfer, ConvWindowArithmetic)
 {
     Attrs a;

@@ -200,6 +200,100 @@ TEST(Cse, NeverMergesSynthesizedConstants)
     EXPECT_FALSE(stats.changed);
 }
 
+TEST(Cse, KeepsLiteralConstantsApartByShapeAndDtype)
+{
+    GraphBuilder b;
+    const std::vector<std::int64_t> payload = {1, 2, 3, 4};
+    auto c1 = b.constantData("a", Shape({4}), payload, ir::DType::F16);
+    auto c2 = b.constantData("b", Shape({2, 2}), payload, ir::DType::F16);
+    auto c3 = b.constantData("c", Shape({4}), payload, ir::DType::I32);
+    auto c4 = b.constantData("d", Shape({4}), payload, ir::DType::F16);
+    for (auto c : {c1, c2, c3, c4})
+        b.markOutput(c);
+    auto g = b.finish();
+
+    PassStats stats;
+    auto out = CommonSubexprElim().run(g, stats);
+    EXPECT_EQ(stats.nodesRemoved, 1); // only d merges into a
+    EXPECT_EQ(out.outputIds()[3], out.outputIds()[0]);
+    EXPECT_NE(out.outputIds()[1], out.outputIds()[0]);
+    EXPECT_NE(out.outputIds()[2], out.outputIds()[0]);
+}
+
+TEST(Cse, KeepsOperatorsApartByAttributes)
+{
+    GraphBuilder b;
+    auto x = b.input("x", Shape({2, 3, 4}));
+    auto attrs = [](std::vector<std::pair<std::string,
+                                          std::vector<std::int64_t>>> kv) {
+        ir::Attrs a;
+        for (auto &[k, v] : kv)
+            a.set(k, v);
+        return a;
+    };
+    const std::vector<ir::ValueId> kept = {
+        b.transpose(x, {0, 2, 1}),
+        b.transpose(x, {1, 0, 2}),
+        b.softmax(x, 1),
+        b.softmax(x, 2),
+        // An extra key, and one list split across two keys.
+        b.addNode(OpKind::Softmax, {x}, attrs({{"axis", {2}}, {"k", {0}}})),
+        b.addNode(OpKind::Relu, {x}, attrs({{"a", {1, 2}}, {"b", {}}})),
+        b.addNode(OpKind::Relu, {x}, attrs({{"a", {1}}, {"b", {2}}})),
+    };
+    auto dup = b.softmax(x, 2); // the one true duplicate
+    for (auto v : kept)
+        b.markOutput(v);
+    b.markOutput(dup);
+    auto g = b.finish();
+
+    PassStats stats;
+    auto out = CommonSubexprElim().run(g, stats);
+    EXPECT_EQ(stats.nodesRemoved, 1);
+    const auto &outs = out.outputIds();
+    EXPECT_EQ(outs.back(), outs[3]);
+    for (std::size_t i = 0; i < kept.size(); ++i)
+        for (std::size_t j = i + 1; j < kept.size(); ++j)
+            EXPECT_NE(outs[i], outs[j]) << i << " vs " << j;
+}
+
+/** A graph every pass inspects and none rewrites. */
+ir::Graph
+settledGraph()
+{
+    GraphBuilder b;
+    auto x = b.input("x", Shape({2, 3}));
+    auto idx = b.constantData("idx", Shape({2}), {1, 0});
+    auto t = b.transpose(x, {1, 0});
+    auto s = b.binary(OpKind::Add, b.gather(t, idx, 0),
+                      b.constant("bias", Shape({2, 2})));
+    b.markOutput(b.unary(OpKind::Relu, s));
+    return b.finish();
+}
+
+TEST(PassContract, UnchangedGraphKeepsItsNodeBuffer)
+{
+    for (const std::string &name : PassManager::passNames()) {
+        SCOPED_TRACE(name);
+        ir::Graph g = settledGraph();
+        const ir::Node *buffer = g.nodes().data();
+        PassStats stats;
+        ir::Graph out = PassManager::create(name)->run(std::move(g), stats);
+        EXPECT_FALSE(stats.changed);
+        EXPECT_EQ(stats.total(), 0);
+        EXPECT_EQ(out.nodes().data(), buffer);
+    }
+    // A sweep that changes nothing moves the graph through every pass.
+    ir::Graph g = settledGraph();
+    const ir::Node *buffer = g.nodes().data();
+    PipelineStats stats;
+    ir::Graph out =
+        PassManager::defaultPipeline().runToFixedPoint(std::move(g), &stats);
+    EXPECT_FALSE(stats.changed());
+    EXPECT_EQ(stats.iterations, 1);
+    EXPECT_EQ(out.nodes().data(), buffer);
+}
+
 TEST(ConstantFoldPass, FoldsGatherOverLiteralTable)
 {
     GraphBuilder b;
